@@ -1,4 +1,4 @@
-"""Thread-pool map used by the per-agent tests, per-column LPs and trials.
+"""Thread-pool map used by the per-agent tests and the simulation trials.
 
 numpy releases the GIL inside the heavy kernels, so threads give real
 parallelism for the eigensolves; results always come back in input order, so

@@ -221,13 +221,13 @@ def cmd_robust(args) -> int:
     model, family, digest = _model_source(args, allow_family=True)
     entries = []
     if family is not None:
-        bound = compute_bounds(family, margin=args.margin, threads=args.threads)
+        bound = compute_bounds(family, margin=args.margin)
         entries.append({"scope": "family", "agents": None, **bound.to_dict()})
     else:
         for cls in dedup_agents(model):
             rep = cls[0]
             fam = build_mode_family(model, scope=rep)
-            bound = compute_bounds(fam, margin=args.margin, threads=args.threads)
+            bound = compute_bounds(fam, margin=args.margin)
             entries.append({"scope": f"agent {rep}", "agents": cls, **bound.to_dict()})
     doc = {"command": "robust", "classes": entries}
     _emit(doc, args, "robust", digest, started)
@@ -308,7 +308,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mjls-stab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, family: bool):
+    def add_common(p, family: bool, threads: bool):
         p.add_argument("--model", help="path to a model JSON document")
         p.add_argument("--pendulum", type=int, metavar="N",
                        help="generate the N-pendulum benchmark")
@@ -316,12 +316,13 @@ def _build_parser() -> _Parser:
             p.add_argument("--family", help="path to a raw mode-family JSON")
         p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="override a pendulum parameter")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallelism cap (default: MJLS_STAB_THREADS or all cores)")
+        if threads:
+            p.add_argument("--threads", type=int, default=None,
+                           help="parallelism cap (default: MJLS_STAB_THREADS or all cores)")
         p.add_argument("--out", help="write the result artifact (plus manifest) here")
 
     p = sub.add_parser("analyze", help="run the stability tests")
-    add_common(p, family=True)
+    add_common(p, family=True, threads=True)
     p.add_argument("--full", action="store_true",
                    help="enumerate the whole network's modes (exponential)")
     p.add_argument("--reduced", action="store_true",
@@ -331,20 +332,20 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("robust", help="transition-matrix uncertainty bounds")
-    add_common(p, family=True)
+    add_common(p, family=True, threads=False)
     p.add_argument("--margin", type=float, default=0.0,
                    help="strictness margin subtracted from each beta")
     p.set_defaults(func=cmd_robust)
 
     p = sub.add_parser("simulate", help="Monte Carlo simulation to CSV")
-    add_common(p, family=False)
+    add_common(p, family=False, threads=True)
     p.add_argument("--steps", type=int, required=True, help="horizon length")
     p.add_argument("--trials", type=int, default=1, help="number of repetitions")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("inspect", help="mode counts and dimensions as JSON")
-    add_common(p, family=False)
+    add_common(p, family=False, threads=False)
     p.set_defaults(func=cmd_inspect)
 
     return parser

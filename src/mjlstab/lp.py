@@ -1,10 +1,14 @@
-"""Small dense linear-programming solver (two-phase primal simplex).
+"""Closed-form solver for the one-row linear programs of the bound procedure.
 
-Solves max/min c^T x subject to A_ub x <= b_ub and finite box bounds
-lb <= x <= ub. Box bounds are handled by shifting to y = x - lb >= 0 and
-appending the upper bounds as ordinary rows; infeasible starts go through a
-phase-1 artificial objective. Bland's rule is always on (the problems here
-are tiny, so the anti-cycling guarantee is worth more than pivot speed).
+Solves max/min c^T x subject to at most one row a x <= b and finite box
+bounds lb <= x <= ub. With one row this is a fractional knapsack, which the
+greedy rule solves exactly (G. B. Dantzig, "Discrete-variable extremum
+problems", Operations Research 5(2), 1957): start every variable at the end
+of its box where a_r x_r is smallest, then make the improving moves toward
+the other ends in descending order of objective gain per unit of load,
+|c_r| / |a_r| (ties in index order), each as far as its box and the budget
+b - a x left allow. A variable with a_r = 0 starts at its better end. When
+the starting load already exceeds b, no point of the box meets the row.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ _FEAS_TOL = 1e-8
 
 @dataclass(eq=False)
 class LpProblem:
-    """max/min c^T x  s.t.  a_ub x <= b_ub,  lb <= x <= ub (all finite)."""
+    """max/min c^T x  s.t.  a_ub x <= b_ub (at most one row),  lb <= x <= ub
+    (all finite)."""
 
     c: np.ndarray
     a_ub: np.ndarray
@@ -44,6 +49,8 @@ class LpProblem:
             raise ValueError(
                 f"a_ub has {self.a_ub.shape[1]} columns for {n} variables"
             )
+        if self.a_ub.shape[0] > 1:
+            raise ValueError(f"a_ub has {self.a_ub.shape[0]} rows; at most one is allowed")
         if self.b_ub.shape[0] != self.a_ub.shape[0]:
             raise ValueError("b_ub length does not match a_ub rows")
         if self.lb.shape[0] != n or self.ub.shape[0] != n:
@@ -60,113 +67,34 @@ class LpProblem:
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: np.ndarray | None = field(default=None)
     objective: float | None = None
 
 
-def lp_solve(problem: LpProblem, tol: float = 1e-9, max_iter: int = 20_000) -> LpResult:
-    """Solve a small dense LP; see LpProblem for the accepted form."""
-    n = problem.c.shape[0]
-    sign = 1.0 if problem.sense == "max" else -1.0
-    c = sign * problem.c
-
-    # Shift x = lb + y so y >= 0, and fold the upper bounds in as rows.
-    width = problem.ub - problem.lb
-    rows = np.vstack([problem.a_ub, np.eye(n)])
-    rhs = np.concatenate([problem.b_ub - problem.a_ub @ problem.lb, width])
-
-    m = rows.shape[0]
-    # Rows with negative rhs get flipped; their slack then has coefficient -1
-    # and an artificial variable provides the starting basis instead.
-    flip = rhs < 0
-    rows = np.where(flip[:, None], -rows, rows)
-    rhs = np.where(flip, -rhs, rhs)
-    slack = np.diag(np.where(flip, -1.0, 1.0))
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
-
-    ncols = n + m + n_art
-    tableau = np.zeros((m, ncols + 1))
-    tableau[:, :n] = rows
-    tableau[:, n : n + m] = slack
-    for k, i in enumerate(art_rows):
-        tableau[i, n + m + k] = 1.0
-    tableau[:, -1] = rhs
-
-    basis = np.empty(m, dtype=int)
-    basis[~flip] = n + np.flatnonzero(~flip)
-    basis[flip] = n + m + np.arange(n_art)
-
-    if n_art:
-        cost1 = np.zeros(ncols)
-        cost1[n + m :] = -1.0
-        status = _simplex(tableau, basis, cost1, ncols, tol, max_iter)
-        if status != "optimal":
-            return LpResult(status="infeasible")
-        art_total = float(cost1[basis] @ tableau[:, -1])
-        if art_total < -_FEAS_TOL:
-            return LpResult(status="infeasible")
-        _evict_artificials(tableau, basis, n + m, tol)
-
-    cost2 = np.zeros(ncols)
-    cost2[:n] = c
-    status = _simplex(tableau, basis, cost2, n + m, tol, max_iter)
-    if status == "unbounded":
-        return LpResult(status="unbounded")
-
-    y = np.zeros(ncols)
-    y[basis] = tableau[:, -1]
-    x = problem.lb + y[:n]
-    # Snap roundoff back inside the box.
-    x = np.clip(x, problem.lb, problem.ub)
+def lp_solve(problem: LpProblem) -> LpResult:
+    """Solve the LP in closed form; see LpProblem for the accepted form."""
+    c = problem.c if problem.sense == "max" else -problem.c
+    lb, ub = problem.lb, problem.ub
+    if problem.b_ub.size:
+        a, b = problem.a_ub[0], problem.b_ub[0]
+    else:
+        a, b = np.zeros_like(c), np.inf
+    # start at the least-load end of each box, the better end where a_r = 0
+    x = np.where((a > 0) | ((a == 0) & (c <= 0)), lb, ub)
+    budget = b - a @ x
+    if budget < -_FEAS_TOL:
+        return LpResult(status="infeasible")
+    # moving x_r off its start end costs |a_r| per unit of |c_r| gained, and
+    # gains only when c_r and a_r have the same sign
+    improving = np.flatnonzero(c * a > 0)
+    rate = np.abs(c[improving] / a[improving])
+    for r in improving[np.argsort(-rate, kind="stable")]:
+        if budget <= 0:
+            break
+        step = min(ub[r] - lb[r], budget / abs(a[r]))
+        x[r] += step if a[r] > 0 else -step
+        budget -= abs(a[r]) * step
+    # snap roundoff back inside the box
+    x = np.clip(x, lb, ub)
     return LpResult(status="optimal", x=x, objective=float(problem.c @ x))
-
-
-def _simplex(tableau, basis, cost, entering_limit, tol, max_iter) -> str:
-    """Canonical-form simplex with Bland's rule; pivots tableau in place.
-
-    Only columns below entering_limit may enter the basis (used to freeze
-    phase-1 artificials out of phase 2).
-    """
-    m = tableau.shape[0]
-    for _ in range(max_iter):
-        reduced = cost[:entering_limit] - cost[basis] @ tableau[:, :entering_limit]
-        candidates = np.flatnonzero(reduced > tol)
-        if candidates.size == 0:
-            return "optimal"
-        col = int(candidates[0])  # Bland: smallest improving index
-        column = tableau[:, col]
-        feasible_rows = np.flatnonzero(column > tol)
-        if feasible_rows.size == 0:
-            return "unbounded"
-        ratios = tableau[feasible_rows, -1] / column[feasible_rows]
-        best = ratios.min()
-        tied = feasible_rows[ratios <= best + tol * max(1.0, abs(best))]
-        row = int(tied[np.argmin(basis[tied])])  # Bland: smallest basis index
-        _pivot(tableau, row, col)
-        basis[row] = col
-    raise ArithmeticError(
-        f"simplex hit the iteration cap of {max_iter} pivots"
-    )
-
-
-def _pivot(tableau, row, col):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-
-
-def _evict_artificials(tableau, basis, n_real, tol):
-    """Pivot leftover zero-valued artificials out of the basis when a real
-    column is available; fully redundant rows keep their artificial at 0."""
-    for i in range(tableau.shape[0]):
-        if basis[i] >= n_real:
-            cols = np.flatnonzero(np.abs(tableau[i, :n_real]) > tol)
-            if cols.size:
-                col = int(cols[0])
-                _pivot(tableau, i, col)
-                basis[i] = col

@@ -6,8 +6,9 @@ sum_r alpha_r |dp_rs| < beta_s, where beta_s is the nominal margin of that
 column and alpha_r how much a unit of probability moved into mode r uses of
 it. The two-step procedure turns this into per-row bounds eps_r: step 1
 pushes each column's perturbation as far up and as far down as the margin and
-the box constraints allow (one small LP per column, which decouple), step 2
-takes the per-row worst case over columns and directions.
+the box constraints allow (the columns decouple, and each is a fractional
+knapsack with one row, solved in closed form by `lp.lp_solve`), step 2 takes
+the per-row worst case over columns and directions.
 
 Two certificates supply alpha and beta:
 
@@ -49,10 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .linalg import inf_norm, spectral_radius
+from .linalg import spectral_radius
 from .lp import LpProblem, lp_solve
-from .stability import second_moment_map
+from .stability import _check_nominal, alphas, betas, mss_matrix, second_moment_map
 from .switched import ModeFamily
 
 # The weighting V sums K = _SERIES_TERMS powers of L at c = rho (1 + _C_GAP).
@@ -66,42 +66,11 @@ class BoundsInfeasibleError(RuntimeError):
     """The nominal chain already fails the norm margin (some beta <= 0)."""
 
 
-def alphas(family: ModeFamily) -> np.ndarray:
-    """Per-mode norm coefficients: the infinity norm of W_r kron W_r.
-
-    Absolute row sums multiply under the Kronecker product, so this equals
-    the squared infinity norm of W_r; computed that way to avoid
-    materializing the product.
-    """
-    return np.array([inf_norm(w) ** 2 for w in family.matrices])
-
-
-def betas(alpha, nominal) -> np.ndarray:
-    """Per-column stability margins: beta_s = 1 - sum_r nominal[r, s] * alpha_r.
-
-    Negative entries mean the nominal chain itself is outside the
-    norm-certifiable region.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    nominal = _check_nominal(nominal, alpha.shape[0])
-    return 1.0 - alpha @ nominal
-
-
-def _check_nominal(nominal, m: int) -> np.ndarray:
-    p = np.asarray(nominal, dtype=float)
-    if p.shape != (m, m):
-        raise ValueError(f"nominal chain: expected ({m}, {m}), got {p.shape}")
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("nominal chain is not row-stochastic")
-    return p
-
-
 def solve_bound_lp(
     family: ModeFamily,
     nominal=None,
     direction: str = "upper",
     margin: float = 0.0,
-    threads: int | None = None,
     *,
     alpha=None,
     beta=None,
@@ -132,7 +101,8 @@ def solve_bound_lp(
             f"(margin {margin:.6g})"
         )
 
-    def solve_column(s: int) -> np.ndarray:
+    columns = []
+    for s in range(m):
         problem = LpProblem(
             c=np.ones(m),
             a_ub=alpha[None, :],
@@ -146,9 +116,7 @@ def solve_bound_lp(
             raise ArithmeticError(
                 f"bound LP for column {s} returned {result.status}"
             )
-        return result.x
-
-    columns = parallel_map(solve_column, range(m), threads=threads)
+        columns.append(result.x)
     return np.column_stack(columns)
 
 
@@ -184,12 +152,20 @@ class BoundResult:
         }
 
 
-def compute_bounds(
-    family: ModeFamily,
-    nominal=None,
-    margin: float = 0.0,
-    threads: int | None = None,
-) -> BoundResult:
+def _two_step(family: ModeFamily, nominal, alpha, beta, margin: float) -> BoundResult:
+    """Both step-1 directions, then the step-2 eps, under the given alpha
+    and beta; feasible=False with eps = 0 when some beta_s <= margin."""
+    m = family.mode_count
+    try:
+        z_ub = solve_bound_lp(family, nominal, "upper", margin, alpha=alpha, beta=beta)
+    except BoundsInfeasibleError:
+        zeros = np.zeros((m, m))
+        return BoundResult(alpha, beta, zeros, zeros.copy(), np.zeros(m), False)
+    z_lb = solve_bound_lp(family, nominal, "lower", margin, alpha=alpha, beta=beta)
+    return BoundResult(alpha, beta, z_ub, z_lb, feasible_bound(z_lb, z_ub), True)
+
+
+def compute_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> BoundResult:
     """Full pipeline: alphas, betas, both LP directions, then eps.
 
     When some beta_s <= margin the nominal chain sits outside the
@@ -197,30 +173,9 @@ def compute_bounds(
     eps = 0 (the condition is only sufficient, so the exact spectral test may
     still pass there).
     """
-    m = family.mode_count
-    nominal = _check_nominal(family.joint_P if nominal is None else nominal, m)
+    nominal = family.joint_P if nominal is None else nominal
     alpha = alphas(family)
-    beta = betas(alpha, nominal)
-    zeros = np.zeros((m, m))
-    if np.min(beta) <= margin:
-        return BoundResult(
-            alpha=alpha,
-            beta=beta,
-            z_ub=zeros,
-            z_lb=zeros.copy(),
-            eps=np.zeros(m),
-            feasible=False,
-        )
-    z_ub = solve_bound_lp(family, nominal, "upper", margin, threads)
-    z_lb = solve_bound_lp(family, nominal, "lower", margin, threads)
-    return BoundResult(
-        alpha=alpha,
-        beta=beta,
-        z_ub=z_ub,
-        z_lb=z_lb,
-        eps=feasible_bound(z_lb, z_ub),
-        feasible=True,
-    )
+    return _two_step(family, nominal, alpha, betas(alpha, nominal), margin)
 
 
 def _cone_radius(family: ModeFamily, nominal, tol: float = 1e-12,
@@ -277,17 +232,12 @@ def weighted_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> Bo
     pushed = np.einsum("rij,rjk,rlk->ril", w, v, w)  # W_r V_r W_r^T
     beta = 1.0 - _top_eig(second_moment_map(family, v, nominal), v)
     alpha = _top_eig(pushed[:, None], v[None, :]).max(axis=1)
-    zeros = np.zeros((m, m))
-    if np.min(beta) <= margin:
-        return BoundResult(alpha, beta, zeros, zeros.copy(), np.zeros(m), False)
-    z_ub = solve_bound_lp(family, nominal, "upper", margin, alpha=alpha, beta=beta)
-    z_lb = solve_bound_lp(family, nominal, "lower", margin, alpha=alpha, beta=beta)
-    eps = feasible_bound(z_lb, z_ub)
-    load = float(alpha @ eps)
+    result = _two_step(family, nominal, alpha, beta, margin)
+    load = float(alpha @ result.eps)
     budget = float(np.min(beta)) - margin
-    if load > budget:
-        eps = eps * (budget / load)
-    return BoundResult(alpha, beta, z_ub, z_lb, eps, True)
+    if result.feasible and load > budget:
+        result.eps *= budget / load
+    return result
 
 
 def column_corners(nominal, eps) -> np.ndarray:
@@ -353,9 +303,6 @@ def grid_scan_max_rho(
     if eps.shape != (2,):
         raise ValueError("eps must have one entry per mode")
 
-    kron_sq = [np.kron(w, w) for w in family.matrices]
-    d2 = kron_sq[0].shape[0]
-
     def axis(bound: float) -> np.ndarray:
         if bound <= 0:
             return np.zeros(1)
@@ -363,15 +310,11 @@ def grid_scan_max_rho(
         return np.linspace(-bound, bound, count)
 
     worst = 0.0
-    test = np.empty((2 * d2, 2 * d2))
     for t1 in axis(eps[0]):
         for t2 in axis(eps[1]):
             p = nominal + np.array([[t1, -t1], [t2, -t2]])
             if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
                 continue
-            for r in range(2):
-                test[:, r * d2 : (r + 1) * d2] = np.kron(
-                    p[r][:, None], kron_sq[r]
-                )
+            test = mss_matrix(family, transition=p).matrix
             worst = max(worst, spectral_radius(test))
     return worst

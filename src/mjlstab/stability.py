@@ -232,18 +232,46 @@ def mss_test_reduced(
     )
 
 
+def alphas(family: ModeFamily) -> np.ndarray:
+    """Per-mode norm coefficients: the infinity norm of W_r kron W_r.
+
+    Absolute row sums multiply under the Kronecker product, so this equals
+    the squared infinity norm of W_r; computed that way to avoid
+    materializing the product.
+    """
+    return np.array([inf_norm(w) ** 2 for w in family.matrices])
+
+
+def betas(alpha, nominal) -> np.ndarray:
+    """Per-column stability margins: beta_s = 1 - sum_r nominal[r, s] * alpha_r.
+
+    Negative entries mean the nominal chain itself is outside the
+    norm-certifiable region.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    nominal = _check_nominal(nominal, alpha.shape[0])
+    return 1.0 - alpha @ nominal
+
+
+def _check_nominal(nominal, m: int) -> np.ndarray:
+    p = np.asarray(nominal, dtype=float)
+    if p.shape != (m, m):
+        raise ValueError(f"nominal chain: expected ({m}, {m}), got {p.shape}")
+    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("nominal chain is not row-stochastic")
+    return p
+
+
 def block_norm_sufficient(family: ModeFamily, transition=None) -> bool:
     """Quick sufficient test: row sums of mode-norm blocks all below one.
 
     For every block row s of the test matrix, sum_r P[r, s] * |W_r kron W_r|
-    must be < 1 (the infinity norm bounds the spectral radius, and the norm
-    of a Kronecker square is the squared norm). True implies the spectral
-    test passes; false says nothing.
+    must be < 1, i.e. every margin beta_s is positive (the infinity norm
+    bounds the spectral radius). True implies the spectral test passes;
+    false says nothing.
     """
-    p = family.joint_P if transition is None else np.asarray(transition, dtype=float)
-    alphas = np.array([inf_norm(w) ** 2 for w in family.matrices])
-    column_sums = alphas @ p  # entry s: sum_r P[r, s] * alpha_r
-    return bool(np.all(column_sums < 1.0))
+    p = family.joint_P if transition is None else transition
+    return bool(np.all(betas(alphas(family), p) > 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,8 @@ def test_analyze_pendulum_param_override(capsys):
         ["analyze", "--pendulum", "2", "--param", "dt"],
         ["simulate", "--pendulum", "2", "--steps", "10"],
         ["robust"],
+        ["inspect", "--pendulum", "2", "--threads", "2"],
+        ["robust", "--pendulum", "2", "--threads", "2"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

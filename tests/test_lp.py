@@ -6,20 +6,13 @@ import pytest
 from mjlstab.lp import LpProblem, LpResult, lp_solve
 
 
-def solve(c, a_ub, b_ub, lb, ub, sense="max", **kw):
-    return lp_solve(LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub, sense=sense), **kw)
+def solve(c, a_ub, b_ub, lb, ub, sense="max"):
+    return lp_solve(LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub, sense=sense))
 
 
 # ---------------------------------------------------------------------------
 # Known small problems
 # ---------------------------------------------------------------------------
-
-
-def test_basic_max_at_vertex():
-    res = solve([3.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], [4.0, 6.0], [0.0, 0.0], [10.0, 10.0])
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(12.0, abs=1e-9)
-    assert np.allclose(res.x, [4.0, 0.0], atol=1e-9)
 
 
 def test_basic_min_prefers_cheap_variable():
@@ -37,24 +30,12 @@ def test_box_only_problem():
 
 
 def test_negative_rhs_goes_through_phase_one():
-    # x >= 1 written as -x <= -1; start is infeasible at the shifted origin
+    # x >= 1 written as -x <= -1: the start x = 5 has the least load, and the
+    # improving move down stops where the budget runs out
     res = solve([-1.0], [[-1.0]], [-1.0], [0.0], [5.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_equality_emulated_by_opposing_rows():
-    res = solve(
-        [1.0, 0.0],
-        [[1.0, 1.0], [-1.0, -1.0]],
-        [2.0, -2.0],
-        [0.0, 0.0],
-        [10.0, 10.0],
-    )
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(2.0, abs=1e-9)
-    assert res.x[0] + res.x[1] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_infeasible_detected():
@@ -63,43 +44,22 @@ def test_infeasible_detected():
     assert res.x is None and res.objective is None
 
 
-def test_beale_cycling_problem_terminates():
-    """Classic degenerate problem that cycles under naive pivoting; Bland's
-    rule must terminate at objective 1/20."""
-    res = solve(
-        [0.75, -150.0, 0.02, -6.0],
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ],
-        [0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [1e3, 1e3, 1e3, 1e3],
-    )
+def test_ties_fill_in_index_order():
+    res = solve([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.5], [0.0] * 3, [1.0] * 3)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(0.05, abs=1e-9)
-    assert np.allclose(res.x, [0.04, 0.0, 1.0, 0.0], atol=1e-8)
-
-
-def test_iteration_cap_raises():
-    # five variables must each pivot in; two iterations cannot finish
-    with pytest.raises(ArithmeticError, match="iteration cap"):
-        solve([1.0] * 5, None, None, [0.0] * 5, [1.0] * 5, max_iter=2)
+    assert np.array_equal(res.x, [1.0, 0.5, 0.0])
 
 
 def test_min_equals_negated_max():
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        c = rng.uniform(-1, 1, size=3)
-        a = rng.uniform(-1, 1, size=(2, 3))
-        b = rng.uniform(0.2, 1.5, size=2)
-        lo = np.zeros(3)
-        hi = np.full(3, 2.0)
+    for _ in range(50):
+        c, a, b, lo, hi = random_problem(rng)
         mn = solve(c, a, b, lo, hi, sense="min")
         mx = solve(-c, a, b, lo, hi, sense="max")
-        assert mn.status == mx.status == "optimal"
-        assert mn.objective == pytest.approx(-mx.objective, abs=1e-9)
+        assert mn.status == mx.status
+        if mn.status == "optimal":
+            assert mn.objective == pytest.approx(-mx.objective, abs=1e-9)
+            assert np.array_equal(mn.x, mx.x)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +90,11 @@ def brute_force(c, a_ub, b_ub, lb, ub, sense="max"):
 
 
 def random_problem(rng):
+    """One row, coefficients of both signs and some exact zeros."""
     n = int(rng.integers(2, 5))
-    m = int(rng.integers(1, 5))
-    c = rng.uniform(-1, 1, size=n)
-    a = rng.uniform(-1, 1, size=(m, n))
-    b = rng.uniform(-0.5, 1.0, size=m)
+    c = rng.uniform(-1, 1, size=n) * (rng.random(n) > 0.1)
+    a = rng.uniform(-1, 1, size=(1, n)) * (rng.random((1, n)) > 0.1)
+    b = rng.uniform(-1.5, 1.0, size=1)
     lo = rng.uniform(-2.0, 0.0, size=n)
     hi = lo + rng.uniform(0.5, 3.0, size=n)
     return c, a, b, lo, hi
@@ -144,7 +104,7 @@ def test_matches_vertex_enumeration_on_random_problems():
     rng = np.random.default_rng(0)
     solved = 0
     infeasible = 0
-    for _ in range(20):
+    for _ in range(200):
         c, a, b, lo, hi = random_problem(rng)
         res = solve(c, a, b, lo, hi)
         oracle, _ = brute_force(c, a, b, lo, hi)
@@ -158,13 +118,14 @@ def test_matches_vertex_enumeration_on_random_problems():
         assert np.all(a @ res.x <= b + 1e-7)
         assert np.all(res.x >= lo - 1e-9) and np.all(res.x <= hi + 1e-9)
         solved += 1
-    assert solved >= 10  # the generator must mostly produce feasible cases
-    assert solved + infeasible == 20
+    assert solved >= 100  # the generator must mostly produce feasible cases
+    assert infeasible >= 10
+    assert solved + infeasible == 200
 
 
 def test_matches_vertex_enumeration_minimization():
     rng = np.random.default_rng(42)
-    for _ in range(8):
+    for _ in range(200):
         c, a, b, lo, hi = random_problem(rng)
         res = solve(c, a, b, lo, hi, sense="min")
         oracle, _ = brute_force(c, a, b, lo, hi, sense="min")
@@ -173,6 +134,8 @@ def test_matches_vertex_enumeration_minimization():
             continue
         assert res.status == "optimal"
         assert abs(res.objective - oracle) <= 1e-7 * (1.0 + abs(oracle))
+        assert np.all(a @ res.x <= b + 1e-7)
+        assert np.all(res.x >= lo) and np.all(res.x <= hi)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +156,11 @@ def test_problem_validation_errors():
         LpProblem(c=[1.0], a_ub=None, b_ub=None, lb=[2.0], ub=[1.0])
     with pytest.raises(ValueError, match="sense"):
         LpProblem(c=[1.0], a_ub=None, b_ub=None, lb=[0.0], ub=[1.0], sense="maximize")
+
+
+def test_two_row_problem_rejected():
+    with pytest.raises(ValueError, match="at most one"):
+        LpProblem(c=[1.0], a_ub=[[1.0], [2.0]], b_ub=[1.0, 1.0], lb=[0.0], ub=[1.0])
 
 
 def test_result_defaults():

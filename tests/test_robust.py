@@ -137,11 +137,29 @@ def test_solve_bound_lp_raises_outside_margin():
         solve_bound_lp(scalar_family(), margin=0.07)
 
 
-def test_solve_bound_lp_threads_match_serial():
-    fam = scalar_family()
-    assert np.array_equal(
-        solve_bound_lp(fam, threads=1), solve_bound_lp(fam, threads=2)
-    )
+def test_compute_bounds_evaluates_alphas_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    mats = rng.normal(size=(5, 2, 2))
+    # scale so the squared norms alpha_r fall in [0.2, 0.6]
+    mats *= (np.sqrt(rng.uniform(0.2, 0.6, size=5))
+             / np.abs(mats).sum(axis=2).max(axis=1))[:, None, None]
+    random_fam = ModeFamily.from_matrices(mats, rng.dirichlet(np.ones(5), size=5))
+    for fam in (scalar_family(), random_fam):
+        alpha = alphas(fam)
+        z_ub = solve_bound_lp(fam, direction="upper")
+        z_lb = solve_bound_lp(fam, direction="lower")
+        calls = []
+        monkeypatch.setattr(
+            "mjlstab.robust.alphas", lambda f: calls.append(f) or alphas(f)
+        )
+        res = compute_bounds(fam)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert res.feasible
+        assert np.array_equal(res.alpha, alpha)
+        assert np.array_equal(res.beta, betas(alpha, fam.joint_P))
+        assert np.array_equal(res.z_ub, z_ub) and np.array_equal(res.z_lb, z_lb)
+        assert np.array_equal(res.eps, feasible_bound(z_lb, z_ub))
 
 
 def test_feasible_bound_rowwise_minimum():
