@@ -1,10 +1,16 @@
-"""Dense linear-algebra kernels shared by the analysis modules.
+"""Linear-algebra kernels shared by the analysis modules.
 
-Everything here operates on plain numpy arrays. The only nontrivial piece is
-`spectral_radius`, which dispatches between a full QR eigensolve for small
-matrices and a power iteration for large ones (the stability test matrices
-reach a few thousand rows and only the dominant eigenvalue magnitude is
-needed there).
+Two spectral-radius solvers live here:
+
+- `spectral_radius` takes a dense numpy array and dispatches between a full
+  QR eigensolve for small matrices and a power iteration for large ones (the
+  stability test matrices reach a few thousand rows and only the dominant
+  eigenvalue magnitude is needed there).
+- `sparse_spectral_radius` takes a scipy sparse array or `LinearOperator`
+  and runs ARPACK's implicitly restarted Arnoldi method (Lehoucq, Sorensen &
+  Yang, *ARPACK Users' Guide*, SIAM 1998) for the largest-modulus
+  eigenvalue. It imports scipy on first use, so importing this module (and
+  the CLI) stays numpy only.
 """
 
 from __future__ import annotations
@@ -15,8 +21,19 @@ import numpy as np
 KRON_ENTRY_LIMIT = 100_000_000
 
 # Dimension above which spectral_radius switches from the QR eigensolver to
-# power iteration.
+# power iteration, and above which the nominal check leaves the dense matrix
+# for the sparse ARPACK path.
 QR_CUTOFF = 512
+
+# Seed of the deterministic start vectors of both iterative solvers.
+_START_SEED = 0x5EED0
+
+# ARPACK Krylov subspace size and relative tolerance of `sparse_spectral_radius`
+# (tol 0 is machine precision). On the 2000-row pendulum network (2-core
+# host) the default ncv of 20 took 0.78 s and 40 took 0.23 s, within 7e-14
+# of dense eig; tol 1e-12 saved no more than the run-to-run noise.
+_ARPACK_NCV = 40
+_ARPACK_TOL = 0.0
 
 
 class SizeLimitError(ValueError):
@@ -91,10 +108,12 @@ def spectral_radius(m, tol: float = 1e-9, max_iter: int = 50_000) -> float:
 
 def _power_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
     n = m.shape[0]
-    scale = inf_norm(m)
+    # Frobenius norm: one dot product over a view of m, with no full-size
+    # temporary. It only scales the collapse and convergence thresholds.
+    scale = float(np.linalg.norm(m))
     if scale == 0.0:
         return 0.0
-    rng = np.random.default_rng(0x5EED0)
+    rng = np.random.default_rng(_START_SEED)
     restarts = 3
     estimate = 0.0
     for attempt in range(restarts):
@@ -137,3 +156,32 @@ def _power_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
     # All restarts collapsed: the matrix annihilated every probe, which for
     # practical purposes means the spectral radius is zero (nilpotent-like).
     return 0.0
+
+
+def sparse_spectral_radius(op) -> float:
+    """Largest eigenvalue magnitude of a square scipy sparse array or
+    `LinearOperator` of dimension at least 3, from ARPACK (`eigs`, k=1,
+    which="LM").
+
+    The Arnoldi run starts from a seeded standard normal vector, so the
+    result is deterministic for fixed input; a fixed structured start (all
+    ones, say) can be orthogonal to the dominant eigenvector of a symmetric
+    network. Raises ArithmeticError when ARPACK fails or does not converge,
+    which happens on matrices whose spectrum gives Arnoldi no dominant
+    direction: zero matrices, defective repeated eigenvalues, or many
+    eigenvalues on one circle (after the full default budget of 10 * dim
+    restarts). On a nilpotent chain ARPACK can instead return a
+    pseudo-eigenvalue well above zero without raising, so callers should
+    split off feed-forward structure first, as `model.nominal_stability`
+    does.
+    """
+    from scipy.sparse.linalg import ArpackError, eigs
+
+    dim = op.shape[0]
+    v0 = np.random.default_rng(_START_SEED).standard_normal(dim)
+    try:
+        vals = eigs(op, k=1, which="LM", v0=v0, ncv=min(_ARPACK_NCV, dim),
+                    tol=_ARPACK_TOL, return_eigenvectors=False)
+    except ArpackError as exc:  # ArpackNoConvergence is a subclass
+        raise ArithmeticError(f"ARPACK failed: {exc}") from exc
+    return float(np.max(np.abs(vals)))

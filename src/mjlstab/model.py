@@ -5,7 +5,17 @@ where the off-diagonal terms arrive over communication links subject to a
 random delay governed by a shared Markov chain. Blocks are stored sparsely:
 only pairs (i, j) with a nonzero coupling are present, and the diagonal block
 A_ii is always stored. Agent indices are one-based everywhere, matching the
-JSON schema.
+JSON schema. Each model indexes its adjacency once at construction, so
+`neighborhood` and the per-scope link lists cost O(degree), not a scan of
+every block.
+
+The nominal (delay-free) check is the delay-free case of the second-moment
+test (Costa, Fragoso & Marques 2005, ch. 3): Schur stability of the global
+block matrix. Up to `QR_CUTOFF` rows it is a dense eigensolve. Above, the
+matrix is split along the strongly connected components of the coupling
+graph and each large component is assembled block-sparse, its dominant
+eigenvalue taken from ARPACK; small components, and large ones on which
+ARPACK fails, get a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import spectral_radius
+from .linalg import QR_CUTOFF, sparse_spectral_radius, spectral_radius
 
 _STOCH_TOL = 1e-12
 
@@ -153,6 +163,17 @@ class DncsModel:
             if (i, i) not in frozen:
                 raise ModelError(f"blocks: missing diagonal block for agent {i}")
         self.blocks = frozen
+        # adjacency index: agent -> sorted senders (j of each stored (i, j),
+        # i != j) and sorted neighbors (either direction, the agent included)
+        senders = {i: [] for i in range(1, self.n_agents + 1)}
+        neighbors = {i: {i} for i in range(1, self.n_agents + 1)}
+        for (i, j) in sorted(frozen):
+            if i != j:
+                senders[i].append(j)
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+        self._senders = {i: tuple(s) for i, s in senders.items()}
+        self._neighbors = {i: tuple(sorted(nb)) for i, nb in neighbors.items()}
 
     @property
     def q(self) -> int:
@@ -178,13 +199,13 @@ def neighborhood(model: DncsModel, i: int) -> list[int]:
     """
     if not 1 <= i <= model.n_agents:
         raise ModelError(f"agent index {i} out of range (1..{model.n_agents})")
-    nb = {i}
-    for (a, b) in model.blocks:
-        if a == i:
-            nb.add(b)
-        elif b == i:
-            nb.add(a)
-    return sorted(nb)
+    return list(model._neighbors[i])
+
+
+def senders(model: DncsModel, i: int) -> tuple[int, ...]:
+    """Sorted agents j != i whose coupling block (i, j) is stored: the
+    senders of agent i's incoming links."""
+    return model._senders[i]
 
 
 def build_global_matrix(model: DncsModel) -> np.ndarray:
@@ -197,10 +218,70 @@ def build_global_matrix(model: DncsModel) -> np.ndarray:
     return a
 
 
+def _block_sparse(model: DncsModel, agents: list[int]):
+    """The delay-free network matrix restricted to `agents` (sorted) as a
+    scipy block-sparse (BSR) array, one n x n block per stored coupling
+    between them; no dense matrix is formed."""
+    from scipy.sparse import bsr_array
+
+    pos = {a: k for k, a in enumerate(agents)}
+    indptr, indices, data = [0], [], []
+    for i in agents:
+        for j in sorted((i, *senders(model, i))):
+            if j in pos:
+                indices.append(pos[j])
+                data.append(model.blocks[(i, j)])
+        indptr.append(len(indices))
+    size = len(agents) * model.n
+    return bsr_array((np.stack(data), np.array(indices), np.array(indptr)),
+                     shape=(size, size))
+
+
+def _strong_components(model: DncsModel) -> list[list[int]]:
+    """Strongly connected components of the agent graph (an edge j -> i per
+    stored block (i, j)), each a sorted list of agents."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    rows, cols = np.array(list(model.blocks)).T - 1
+    graph = csr_array((np.ones(rows.size), (rows, cols)),
+                      shape=(model.n_agents, model.n_agents))
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    order = np.argsort(labels, kind="stable")
+    return [(c + 1).tolist()
+            for c in np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])]
+
+
 def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     """Spectral radius of the delay-free network matrix and whether it is
-    Schur stable (rho < 1)."""
-    rho = spectral_radius(build_global_matrix(model))
+    Schur stable (rho < 1).
+
+    Up to QR_CUTOFF rows: `spectral_radius` of the dense matrix, an exact
+    eigensolve. Above, the agents are split into the strongly connected
+    components of the coupling graph; ordered by them the matrix is block
+    triangular, so its spectrum is the union of the components' spectra.
+    This gives feed-forward structure (chains, leader-follower networks,
+    isolated agents), whose nilpotent or defective spectra ARPACK cannot
+    resolve, to small exact eigensolves. A component up to QR_CUTOFF rows
+    goes through `spectral_radius` of its dense matrix; a larger one through
+    ARPACK on its block-sparse matrix, falling back to all eigenvalues of its
+    dense matrix when ARPACK fails (for instance on many eigenvalues of top
+    modulus).
+    """
+    if model.n_agents * model.n <= QR_CUTOFF:
+        rho = spectral_radius(build_global_matrix(model))
+        return rho, rho < 1.0
+    rho = 0.0
+    for agents in _strong_components(model):
+        sub = _block_sparse(model, agents)
+        if sub.shape[0] <= QR_CUTOFF:
+            r = spectral_radius(sub.toarray())
+        else:
+            try:
+                r = sparse_spectral_radius(sub)
+            except ArithmeticError:
+                r = float(np.max(np.abs(np.linalg.eigvals(sub.toarray()))))
+        rho = max(rho, r)
     return rho, rho < 1.0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SizeLimitError, kron_power
-from .model import DncsModel, neighborhood
+from .model import DncsModel, neighborhood, senders
 
 # Hard ceiling on how many modes may be enumerated explicitly.
 MODE_CAP = 1 << 20
@@ -47,10 +47,9 @@ def enumerate_links(model: DncsModel, scope: int | None = None) -> list[tuple[in
     """
     if scope is None:
         return sorted((i, j) for (i, j) in model.blocks if i != j)
-    nb = set(neighborhood(model, scope))
-    return sorted(
-        (i, j) for (i, j) in model.blocks if i != j and i in nb and j in nb
-    )
+    nb = neighborhood(model, scope)
+    inside = set(nb)
+    return [(i, j) for i in nb for j in senders(model, i) if j in inside]
 
 
 def mode_count(model: DncsModel, scope: int | None = None):

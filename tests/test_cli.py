@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,3 +303,29 @@ def test_threads_flag_does_not_change_analysis(capsys):
     _, serial = run(capsys, "analyze", "--pendulum", "5")
     _, threaded = run(capsys, "analyze", "--pendulum", "5", "--threads", "2")
     assert [s["rho"] for s in serial["scopes"]] == [s["rho"] for s in threaded["scopes"]]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(mjlstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, mjlstab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_analyze_shift_ring_above_dense_cutoff(capsys, tmp_path):
+    # 257 agents of dimension 2, each receiving its predecessor's state
+    # unchanged: 514 eigenvalues on the unit circle, where ARPACK cannot
+    # converge and the nominal check falls back to the dense eigensolve.
+    n_agents = 257
+    blocks = [{"i": i, "j": i, "values": [0.0] * 4} for i in range(1, n_agents + 1)]
+    blocks += [{"i": i, "j": (i - 2) % n_agents + 1, "values": [1.0, 0.0, 0.0, 1.0]}
+               for i in range(1, n_agents + 1)]
+    doc = {"N": n_agents, "n": 2, "tau_d": 0, "blocks": blocks,
+           "chain": {"P": [[1.0]], "pi0": [1.0]}}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "analyze", "--model", str(path), "--dedup")
+    assert code in (0, 2, 3)
+    assert out["nominal"]["rho"] == pytest.approx(1.0, abs=1e-9)

@@ -16,6 +16,8 @@ from mjlstab.model import (
     neighborhood,
     nominal_stability,
 )
+from mjlstab.linalg import QR_CUTOFF
+from mjlstab.switched import enumerate_links
 
 
 def two_agent_model(tau_d: int = 1) -> DncsModel:
@@ -27,6 +29,25 @@ def two_agent_model(tau_d: int = 1) -> DncsModel:
         (2, 1): np.array([[0.1]]),
     }
     return DncsModel(n_agents=2, n=1, tau_d=tau_d, blocks=blocks, chain=chain)
+
+
+def static_model(n_agents: int, n: int, blocks: dict) -> DncsModel:
+    chain = DelayChain(P=[[1.0]], pi0=[1.0])
+    return DncsModel(n_agents=n_agents, n=n, tau_d=0, blocks=blocks, chain=chain)
+
+
+def random_sparse_model(seed: int, n_agents: int, n: int, degree: float,
+                        isolated: int = 0) -> DncsModel:
+    """Seeded model whose links are drawn as random ordered pairs, so most are
+    one-directional; `isolated` agents get no link at all."""
+    rng = np.random.default_rng(seed)
+    blocks = {(i, i): rng.uniform(-0.5, 0.5, (n, n)) for i in range(1, n_agents + 1)}
+    lonely = set(rng.choice(np.arange(1, n_agents + 1), isolated, replace=False).tolist())
+    for _ in range(int(degree * n_agents)):
+        i, j = (int(a) for a in rng.integers(1, n_agents + 1, size=2))
+        if i != j and i not in lonely and j not in lonely:
+            blocks[(i, j)] = rng.uniform(0.05, 0.3, (n, n))
+    return static_model(n_agents, n, blocks)
 
 
 def diagonal_model(n_agents: int, value: float = 0.5) -> DncsModel:
@@ -151,6 +172,32 @@ def test_neighborhood_diagonal_only():
     model = diagonal_model(4)
     for i in range(1, 5):
         assert neighborhood(model, i) == [i]
+
+
+def _scan_neighborhood(model, i):
+    nb = {i}
+    for (a, b) in model.blocks:
+        if a == i:
+            nb.add(b)
+        elif b == i:
+            nb.add(a)
+    return sorted(nb)
+
+
+def _scan_links(model, i):
+    nb = set(_scan_neighborhood(model, i))
+    return sorted((a, b) for (a, b) in model.blocks if a != b and a in nb and b in nb)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adjacency_index_matches_block_scan(seed):
+    built = random_sparse_model(seed, n_agents=40, n=2, degree=1.5, isolated=5)
+    loaded = load_model(dump_model(built))
+    for model in (built, loaded):
+        assert enumerate_links(model) == sorted(k for k in model.blocks if k[0] != k[1])
+        for i in range(1, model.n_agents + 1):
+            assert neighborhood(model, i) == _scan_neighborhood(model, i)
+            assert enumerate_links(model, i) == _scan_links(model, i)
 
 
 def test_neighborhood_rejects_out_of_range():
@@ -305,6 +352,73 @@ def test_pendulum_nominal_rho():
     rho, stable = nominal_stability(build_pendulum_model(100))
     assert rho == pytest.approx(0.9525, abs=1e-3)
     assert stable
+
+
+def _dense_rho(model) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(build_global_matrix(model)))))
+
+
+@pytest.mark.parametrize("n_agents", [300, 1000])
+def test_pendulum_nominal_rho_matches_dense_eig(n_agents):
+    model = build_pendulum_model(n_agents)
+    rho, _ = nominal_stability(model)
+    assert abs(rho - _dense_rho(model)) <= 1e-9
+
+
+def test_small_nominal_goes_through_spectral_radius(monkeypatch):
+    import mjlstab.model as model_module
+
+    dims = []
+    real = model_module.spectral_radius
+
+    def counting(m):
+        dims.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(model_module, "spectral_radius", counting)
+    nominal_stability(build_pendulum_model(4))
+    assert dims == [8]
+
+
+def _rotation(radius, theta):
+    return radius * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+# 260 agents of dimension 2: 520 rows, just above the dense cutoff. Each
+# model has a spectrum that Arnoldi cannot resolve on its own, or a
+# dominant complex pair.
+_N, _EYE, _ZERO = 260, np.eye(2), np.zeros((2, 2))
+_AGENTS = range(1, _N + 1)
+DEGENERATE = {
+    "zero": {(i, i): _ZERO for i in _AGENTS},
+    "shift_chain": {**{(i, i): _ZERO for i in _AGENTS},
+                    **{(i, i - 1): _EYE for i in _AGENTS if i > 1}},
+    "leader_follower": {**{(i, i): 0.9 * _EYE for i in _AGENTS},
+                        **{(i, i - 1): 0.1 * _EYE for i in _AGENTS if i > 1}},
+    "shift_ring": {**{(i, i): _ZERO for i in _AGENTS},
+                   **{(i, (i - 2) % _N + 1): _EYE for i in _AGENTS}},
+    "rotation_ring": {**{(i, i): _rotation(0.9 if i == 1 else 0.5, 0.3 + 0.01 * i)
+                         for i in _AGENTS},
+                      **{(i, (i - 2) % _N + 1): 0.01 * _EYE for i in _AGENTS}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_nominal_degenerate_models_match_dense_eig(name):
+    model = static_model(_N, 2, DEGENERATE[name])
+    assert model.n_agents * model.n > QR_CUTOFF
+    rho, stable = nominal_stability(model)
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
+    assert stable == (rho < 1.0)
+
+
+@pytest.mark.parametrize("seed,degree", [(0, 1.0), (1, 5.0), (2, 5.0)])
+def test_nominal_random_sparse_models_match_dense_eig(seed, degree):
+    # degree 1 leaves only components of one or two agents; degree 5 gives
+    # one strongly connected component of more than 512 rows
+    model = random_sparse_model(seed, n_agents=300, n=2, degree=degree, isolated=10)
+    rho, _ = nominal_stability(model)
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
 
 
 def test_pendulum_param_overrides_shape_coupling():
