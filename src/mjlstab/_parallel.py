@@ -1,8 +1,8 @@
-"""Thread-pool map used by the per-agent tests and the simulation trials.
+"""Thread-pool map over the Monte Carlo trials of `sim.estimate_ms`.
 
-numpy releases the GIL inside the heavy kernels, so threads give real
-parallelism for the eigensolves; results always come back in input order, so
-callers stay deterministic regardless of scheduling.
+The trial step loop releases the GIL in numpy, so a pool beats a loop there.
+The per-agent scopes do not use it: their eigensolves already run on the
+BLAS threads (see `stability`). Results come back in input order.
 """
 
 from __future__ import annotations
@@ -11,25 +11,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Normalize a thread-count request: None means all available cores."""
-    if threads is None:
-        env = os.environ.get("MJLS_STAB_THREADS")
-        if env is not None and env.strip():
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValueError(f"MJLS_STAB_THREADS is not an integer: {env!r}")
-    if threads is None:
-        threads = os.cpu_count() or 1
-    return max(1, int(threads))
-
-
-def parallel_map(fn, items, threads: int | None = None) -> list:
-    """map(fn, items) across a thread pool, preserving input order."""
+def parallel_map(fn, items) -> list:
+    """map(fn, items) across one worker per core, preserving input order."""
     items = list(items)
-    workers = min(resolve_threads(threads), max(1, len(items)))
-    if workers <= 1 or len(items) <= 1:
+    workers = min(os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -210,7 +210,7 @@ def cmd_analyze(args) -> int:
         if args.full:
             report = mss_test_full(model)
         else:
-            report = mss_test_reduced(model, dedup=args.dedup, threads=args.threads)
+            report = mss_test_reduced(model, dedup=args.dedup)
     doc.update(report.to_dict())
     _emit(doc, args, "analyze", digest, started)
     return _EXIT_BY_VERDICT[report.overall]
@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
             "final_sqnorm": float(record.sqnorm[-1]),
         }
     else:
-        ms = estimate_ms(model, config, threads=args.threads)
+        ms = estimate_ms(model, config)
         payload = mean_square_csv(ms)
         doc = {
             "command": "simulate",
@@ -308,7 +308,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mjls-stab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, family: bool, threads: bool):
+    def add_common(p, family: bool):
         p.add_argument("--model", help="path to a model JSON document")
         p.add_argument("--pendulum", type=int, metavar="N",
                        help="generate the N-pendulum benchmark")
@@ -316,13 +316,10 @@ def _build_parser() -> _Parser:
             p.add_argument("--family", help="path to a raw mode-family JSON")
         p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="override a pendulum parameter")
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="parallelism cap (default: MJLS_STAB_THREADS or all cores)")
         p.add_argument("--out", help="write the result artifact (plus manifest) here")
 
     p = sub.add_parser("analyze", help="run the stability tests")
-    add_common(p, family=True, threads=True)
+    add_common(p, family=True)
     p.add_argument("--full", action="store_true",
                    help="enumerate the whole network's modes (exponential)")
     p.add_argument("--reduced", action="store_true",
@@ -332,20 +329,20 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("robust", help="transition-matrix uncertainty bounds")
-    add_common(p, family=True, threads=False)
+    add_common(p, family=True)
     p.add_argument("--margin", type=float, default=0.0,
                    help="strictness margin subtracted from each beta")
     p.set_defaults(func=cmd_robust)
 
     p = sub.add_parser("simulate", help="Monte Carlo simulation to CSV")
-    add_common(p, family=False, threads=True)
+    add_common(p, family=False)
     p.add_argument("--steps", type=int, required=True, help="horizon length")
     p.add_argument("--trials", type=int, default=1, help="number of repetitions")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("inspect", help="mode counts and dimensions as JSON")
-    add_common(p, family=False, threads=False)
+    add_common(p, family=False)
     p.set_defaults(func=cmd_inspect)
 
     return parser

@@ -24,6 +24,9 @@ KRON_ENTRY_LIMIT = 100_000_000
 # power iteration, and above which the nominal check leaves the dense matrix
 # for the sparse ARPACK path.
 QR_CUTOFF = 512
+# Relative tolerance and iteration budget of the power iteration above it.
+_POWER_TOL = 1e-9
+_POWER_MAX_ITER = 50_000
 
 # Seed of the deterministic start vectors of both iterative solvers.
 _START_SEED = 0x5EED0
@@ -85,7 +88,7 @@ def inf_norm(m) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
-def spectral_radius(m, tol: float = 1e-9, max_iter: int = 50_000) -> float:
+def spectral_radius(m) -> float:
     """Largest eigenvalue magnitude of a square matrix.
 
     Dimensions up to QR_CUTOFF go through numpy's full eigensolver
@@ -103,10 +106,10 @@ def spectral_radius(m, tol: float = 1e-9, max_iter: int = 50_000) -> float:
         return 0.0
     if rows <= QR_CUTOFF:
         return float(np.max(np.abs(np.linalg.eigvals(m))))
-    return _power_radius(m, tol, max_iter)
+    return _power_radius(m)
 
 
-def _power_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
+def _power_radius(m: np.ndarray) -> float:
     n = m.shape[0]
     # Frobenius norm: one dot product over a view of m, with no full-size
     # temporary. It only scales the collapse and convergence thresholds.
@@ -122,7 +125,7 @@ def _power_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
         prev_growth = None
         prev_est = None
         stable_checks = 0
-        for it in range(max_iter):
+        for it in range(_POWER_MAX_ITER):
             w = m @ v
             growth = float(np.linalg.norm(w))
             if growth < scale * 1e-290:
@@ -135,7 +138,7 @@ def _power_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
                 est = float(np.sqrt(growth * prev_growth))
                 if prev_est is not None:
                     denom = max(est, scale * 1e-300)
-                    if abs(est - prev_est) <= tol * denom:
+                    if abs(est - prev_est) <= _POWER_TOL * denom:
                         stable_checks += 1
                         if stable_checks >= 5:
                             return est
@@ -145,9 +148,9 @@ def _power_radius(m: np.ndarray, tol: float, max_iter: int) -> float:
                 estimate = est
             prev_growth = growth
         else:
-            # Iteration budget exhausted without meeting tol.
+            # Iteration budget exhausted without meeting _POWER_TOL.
             raise ArithmeticError(
-                f"power iteration did not converge within {max_iter} "
+                f"power iteration did not converge within {_POWER_MAX_ITER} "
                 f"iterations (attempt {attempt + 1}/{restarts}, "
                 f"last estimate {estimate})"
             )

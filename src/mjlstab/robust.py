@@ -60,6 +60,9 @@ from .switched import ModeFamily
 # exactly from the V that is used, so any choice is sound.
 _SERIES_TERMS = 400
 _C_GAP = 1e-4
+# `_cone_radius` stops at this relative change of the growth, or step budget.
+_CONE_TOL = 1e-12
+_CONE_MAX_ITER = 10_000
 
 
 class BoundsInfeasibleError(RuntimeError):
@@ -132,7 +135,8 @@ def feasible_bound(z_lb, z_ub) -> np.ndarray:
 
 @dataclass(eq=False)
 class BoundResult:
-    """Outcome of the two-step bound estimation for one mode family."""
+    """Outcome of the two-step bound estimation for one mode family.
+    `to_dict` leaves out z_ub and z_lb: megabytes of JSON at m=256."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -147,8 +151,6 @@ class BoundResult:
             "beta": self.beta.tolist(),
             "eps": self.eps.tolist(),
             "feasible": self.feasible,
-            "z_ub": self.z_ub.tolist(),
-            "z_lb": self.z_lb.tolist(),
         }
 
 
@@ -178,8 +180,7 @@ def compute_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> Bou
     return _two_step(family, nominal, alpha, betas(alpha, nominal), margin)
 
 
-def _cone_radius(family: ModeFamily, nominal, tol: float = 1e-12,
-                 max_iter: int = 10_000) -> float:
+def _cone_radius(family: ModeFamily, nominal) -> float:
     """Spectral radius of L by power iteration from the stacked identities.
 
     L maps the PSD cone into itself and the trace is positive on it, so the
@@ -190,10 +191,10 @@ def _cone_radius(family: ModeFamily, nominal, tol: float = 1e-12,
     m, d = family.mode_count, family.state_dim
     x = np.broadcast_to(np.eye(d) / (m * d), (m, d, d))
     growth = 0.0
-    for _ in range(max_iter):
+    for _ in range(_CONE_MAX_ITER):
         y = second_moment_map(family, x, nominal)
         prev, growth = growth, float(np.trace(y, axis1=1, axis2=2).sum())
-        if growth == 0.0 or abs(growth - prev) <= tol * growth:
+        if growth == 0.0 or abs(growth - prev) <= _CONE_TOL * growth:
             return growth
         x = y / growth
     return max(growth, prev)

@@ -5,7 +5,9 @@ built from the mode family (the second-moment propagation operator) is below
 one. The full-network family is exponentially large, so the scalable route is
 the per-agent reduced test: run the same spectral test on every agent's
 neighborhood family and require all of them to pass. Symmetric agents can be
-grouped first so each distinct subsystem is only analyzed once.
+grouped first so each distinct subsystem is only analyzed once. Scopes run
+serially: a thread pool over them fought the BLAS threads and held two test
+matrices at once, and measured slower with a higher peak memory.
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .linalg import SizeLimitError, inf_norm, spectral_radius
 from .model import DncsModel, neighborhood
 from .switched import MODE_CAP, ModeFamily, build_mode_family, enumerate_links
@@ -34,11 +35,11 @@ MARGINAL_BAND = 1e-9
 _CANONICAL_LIMIT = 8
 
 
-def verdict(rho: float, band: float = MARGINAL_BAND) -> str:
+def verdict(rho: float) -> str:
     """Classify a spectral radius: stable / unstable / marginal."""
-    if rho < 1.0 - band:
+    if rho < 1.0 - MARGINAL_BAND:
         return "stable"
-    if rho > 1.0 + band:
+    if rho > 1.0 + MARGINAL_BAND:
         return "unstable"
     return "marginal"
 
@@ -205,7 +206,6 @@ def _canonical_signature(model: DncsModel, agent: int):
 def mss_test_reduced(
     model: DncsModel,
     dedup: bool = False,
-    threads: int | None = None,
     max_modes: int = MODE_CAP,
 ) -> StabilityReport:
     """Per-agent reduced test: the network is mean-square stable iff every
@@ -218,13 +218,10 @@ def mss_test_reduced(
         classes = dedup_agents(model)
     else:
         classes = [[i] for i in range(1, model.n_agents + 1)]
-    reps = [cls[0] for cls in classes]
-
-    def run(rep: int) -> ScopeResult:
-        family = build_mode_family(model, scope=rep, max_modes=max_modes)
-        return _scope_result(family)
-
-    scopes = parallel_map(run, reps, threads=threads)
+    scopes = [
+        _scope_result(build_mode_family(model, scope=cls[0], max_modes=max_modes))
+        for cls in classes
+    ]
     return StabilityReport(
         scopes=scopes,
         overall=_overall(scopes),

@@ -172,10 +172,10 @@ def test_feasible_bound_rowwise_minimum():
 
 def test_bound_result_to_dict_round_trips_lists():
     d = compute_bounds(scalar_family()).to_dict()
-    assert set(d) == {"alpha", "beta", "eps", "feasible", "z_ub", "z_lb"}
+    assert set(d) == {"alpha", "beta", "eps", "feasible"}
     assert d["feasible"] is True
     assert d["eps"] == pytest.approx([0.4, 0.02], abs=1e-12)
-    assert isinstance(d["z_ub"], list)
+    assert isinstance(d["alpha"], list)
 
 
 # ---------------------------------------------------------------------------

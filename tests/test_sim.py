@@ -66,14 +66,6 @@ def test_trial_index_decorrelates_within_seed():
     assert not np.array_equal(a.states, b.states)
 
 
-def test_estimate_ms_thread_count_is_invisible():
-    model = two_agent()
-    cfg = SimConfig(steps=25, trials=4, seed=3)
-    assert np.array_equal(
-        estimate_ms(model, cfg, threads=1), estimate_ms(model, cfg, threads=2)
-    )
-
-
 def test_estimate_ms_is_mean_over_trials():
     model = two_agent()
     cfg = SimConfig(steps=20, trials=3, seed=5)

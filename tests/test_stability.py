@@ -215,14 +215,6 @@ def test_reduced_report_shape():
     assert set(d["scopes"][0]) == {"scope", "rho", "stable", "verdict", "m", "dim"}
 
 
-def test_reduced_threads_do_not_change_results():
-    model = build_pendulum_model(5)
-    serial = mss_test_reduced(model, threads=1)
-    parallel = mss_test_reduced(model, threads=2)
-    assert [s.rho for s in serial.scopes] == [s.rho for s in parallel.scopes]
-    assert [s.scope for s in serial.scopes] == [s.scope for s in parallel.scopes]
-
-
 # ---------------------------------------------------------------------------
 # Deduplication
 # ---------------------------------------------------------------------------
