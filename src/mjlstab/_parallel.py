@@ -1,8 +1,8 @@
 """Thread-pool map over the Monte Carlo trials of `sim.estimate_ms`.
 
 The trial step loop releases the GIL in numpy, so a pool beats a loop there.
-The per-agent scopes do not use it: their eigensolves already run on the
-BLAS threads (see `stability`). Results come back in input order.
+The per-agent scopes run serially (see `stability`): a pool over them
+measured slower. Results come back in input order.
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 Two spectral-radius solvers live here:
 
-- `spectral_radius` takes a dense numpy array and dispatches between a full
-  QR eigensolve for small matrices and a power iteration for large ones (the
-  stability test matrices reach a few thousand rows and only the dominant
-  eigenvalue magnitude is needed there).
+- `spectral_radius` takes a dense numpy array and returns the largest
+  eigenvalue magnitude from a full QR eigensolve. The analysis uses it only
+  up to QR_CUTOFF rows; above that it is the tests' oracle.
 - `sparse_spectral_radius` takes a scipy sparse array or `LinearOperator`
   and runs ARPACK's implicitly restarted Arnoldi method (Lehoucq, Sorensen &
   Yang, *ARPACK Users' Guide*, SIAM 1998) for the largest-modulus
@@ -20,22 +19,18 @@ import numpy as np
 # Refuse to materialize Kronecker products beyond this many entries.
 KRON_ENTRY_LIMIT = 100_000_000
 
-# Dimension above which spectral_radius switches from the QR eigensolver to
-# power iteration, and above which the nominal check leaves the dense matrix
-# for the sparse ARPACK path.
+# Dimension above which the nominal check and the scope test stop building
+# dense matrices for `spectral_radius` and go to sparse or matrix-free solvers.
 QR_CUTOFF = 512
-# Relative tolerance and iteration budget of the power iteration above it.
-_POWER_TOL = 1e-9
-_POWER_MAX_ITER = 50_000
 
-# Seed of the deterministic start vectors of both iterative solvers.
+# Seed of the deterministic ARPACK start vector.
 _START_SEED = 0x5EED0
 
 # ARPACK Krylov subspace size and relative tolerance of `sparse_spectral_radius`
 # (tol 0 is machine precision). On the 2000-row pendulum network (2-core
 # host) the default ncv of 20 took 0.78 s and 40 took 0.23 s, within 7e-14
 # of dense eig; tol 1e-12 saved no more than the run-to-run noise.
-_ARPACK_NCV = 40
+ARPACK_NCV = 40
 _ARPACK_TOL = 0.0
 
 
@@ -89,76 +84,15 @@ def inf_norm(m) -> float:
 
 
 def spectral_radius(m) -> float:
-    """Largest eigenvalue magnitude of a square matrix.
-
-    Dimensions up to QR_CUTOFF go through numpy's full eigensolver
-    (Hessenberg-QR). Above that, a power iteration is used: it tracks the
-    per-step growth ratio and the two-step geometric mean of growth (the
-    latter converges even when the dominant eigenvalues are a complex
-    conjugate pair), restarting from a fresh deterministic vector if the
-    iterate degenerates. Deterministic for fixed input.
-    """
+    """Largest eigenvalue magnitude of a square matrix, from numpy's full
+    eigensolver (Hessenberg-QR)."""
     m = _as_matrix(m)
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"matrix is not square: shape {m.shape}")
     if rows == 0:
         return 0.0
-    if rows <= QR_CUTOFF:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    return _power_radius(m)
-
-
-def _power_radius(m: np.ndarray) -> float:
-    n = m.shape[0]
-    # Frobenius norm: one dot product over a view of m, with no full-size
-    # temporary. It only scales the collapse and convergence thresholds.
-    scale = float(np.linalg.norm(m))
-    if scale == 0.0:
-        return 0.0
-    rng = np.random.default_rng(_START_SEED)
-    restarts = 3
-    estimate = 0.0
-    for attempt in range(restarts):
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        prev_growth = None
-        prev_est = None
-        stable_checks = 0
-        for it in range(_POWER_MAX_ITER):
-            w = m @ v
-            growth = float(np.linalg.norm(w))
-            if growth < scale * 1e-290:
-                # Iterate collapsed toward a nilpotent direction; restart.
-                break
-            v = w / growth
-            if prev_growth is not None:
-                # Two-step geometric mean smooths the oscillation produced
-                # by a dominant complex-conjugate pair.
-                est = float(np.sqrt(growth * prev_growth))
-                if prev_est is not None:
-                    denom = max(est, scale * 1e-300)
-                    if abs(est - prev_est) <= _POWER_TOL * denom:
-                        stable_checks += 1
-                        if stable_checks >= 5:
-                            return est
-                    else:
-                        stable_checks = 0
-                prev_est = est
-                estimate = est
-            prev_growth = growth
-        else:
-            # Iteration budget exhausted without meeting _POWER_TOL.
-            raise ArithmeticError(
-                f"power iteration did not converge within {_POWER_MAX_ITER} "
-                f"iterations (attempt {attempt + 1}/{restarts}, "
-                f"last estimate {estimate})"
-            )
-        # collapsed; try a new starting vector
-        estimate = max(estimate, 0.0)
-    # All restarts collapsed: the matrix annihilated every probe, which for
-    # practical purposes means the spectral radius is zero (nilpotent-like).
-    return 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def sparse_spectral_radius(op) -> float:
@@ -183,7 +117,7 @@ def sparse_spectral_radius(op) -> float:
     dim = op.shape[0]
     v0 = np.random.default_rng(_START_SEED).standard_normal(dim)
     try:
-        vals = eigs(op, k=1, which="LM", v0=v0, ncv=min(_ARPACK_NCV, dim),
+        vals = eigs(op, k=1, which="LM", v0=v0, ncv=min(ARPACK_NCV, dim),
                     tol=_ARPACK_TOL, return_eigenvectors=False)
     except ArpackError as exc:  # ArpackNoConvergence is a subclass
         raise ArithmeticError(f"ARPACK failed: {exc}") from exc

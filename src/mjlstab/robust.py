@@ -52,7 +52,8 @@ import numpy as np
 
 from .linalg import spectral_radius
 from .lp import LpProblem, lp_solve
-from .stability import _check_nominal, alphas, betas, mss_matrix, second_moment_map
+from .stability import _check_nominal, _cone_radius, alphas, betas, mss_matrix
+from .stability import scope_radius, second_moment_map
 from .switched import ModeFamily
 
 # The weighting V sums K = _SERIES_TERMS powers of L at c = rho (1 + _C_GAP).
@@ -60,9 +61,6 @@ from .switched import ModeFamily
 # exactly from the V that is used, so any choice is sound.
 _SERIES_TERMS = 400
 _C_GAP = 1e-4
-# `_cone_radius` stops at this relative change of the growth, or step budget.
-_CONE_TOL = 1e-12
-_CONE_MAX_ITER = 10_000
 
 
 class BoundsInfeasibleError(RuntimeError):
@@ -180,26 +178,6 @@ def compute_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> Bou
     return _two_step(family, nominal, alpha, betas(alpha, nominal), margin)
 
 
-def _cone_radius(family: ModeFamily, nominal) -> float:
-    """Spectral radius of L by power iteration from the stacked identities.
-
-    L maps the PSD cone into itself and the trace is positive on it, so the
-    growth of the trace tends to the radius. When the growth keeps
-    oscillating (a periodic chain), the larger of the last two values is
-    returned.
-    """
-    m, d = family.mode_count, family.state_dim
-    x = np.broadcast_to(np.eye(d) / (m * d), (m, d, d))
-    growth = 0.0
-    for _ in range(_CONE_MAX_ITER):
-        y = second_moment_map(family, x, nominal)
-        prev, growth = growth, float(np.trace(y, axis1=1, axis2=2).sum())
-        if growth == 0.0 or abs(growth - prev) <= _CONE_TOL * growth:
-            return growth
-        x = y / growth
-    return max(growth, prev)
-
-
 def _top_eig(m, v) -> np.ndarray:
     """lambda_max(V^-1/2 M V^-1/2) for stacks of symmetric M and V > 0."""
     c = np.linalg.cholesky(v)
@@ -222,15 +200,18 @@ def weighted_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> Bo
     """
     m, d = family.mode_count, family.state_dim
     nominal = _check_nominal(family.joint_P if nominal is None else nominal, m)
+    rho = _cone_radius(family, nominal)
+    if rho is None:
+        rho = scope_radius(family, nominal)
     # the floor keeps V well conditioned when L is nilpotent (rho = 0)
-    c = (1.0 + _C_GAP) * max(_cone_radius(family, nominal), 1e-3)
+    c = (1.0 + _C_GAP) * max(rho, 1e-3)
     term = np.broadcast_to(np.eye(d), (m, d, d))
     v = term.copy()
     for _ in range(_SERIES_TERMS - 1):
         term = second_moment_map(family, term, nominal) / c
         v += term
     w = family.matrices
-    pushed = np.einsum("rij,rjk,rlk->ril", w, v, w)  # W_r V_r W_r^T
+    pushed = w @ v @ w.transpose(0, 2, 1)  # W_r V_r W_r^T
     beta = 1.0 - _top_eig(second_moment_map(family, v, nominal), v)
     alpha = _top_eig(pushed[:, None], v[None, :]).max(axis=1)
     result = _two_step(family, nominal, alpha, beta, margin)

@@ -1,13 +1,16 @@
 """Mean-square stability tests for the switched representation.
 
-The network is mean-square stable iff the spectral radius of the test matrix
-built from the mode family (the second-moment propagation operator) is below
-one. The full-network family is exponentially large, so the scalable route is
-the per-agent reduced test: run the same spectral test on every agent's
-neighborhood family and require all of them to pass. Symmetric agents can be
-grouped first so each distinct subsystem is only analyzed once. Scopes run
-serially: a thread pool over them fought the BLAS threads and held two test
-matrices at once, and measured slower with a higher peak memory.
+The network is mean-square stable iff the spectral radius of the
+second-moment operator L of the mode family is below one. The full-network
+family is exponentially large, so the scalable route is the per-agent
+reduced test: run the same spectral test on every agent's neighborhood
+family and require all of them to pass. Symmetric agents can be grouped
+first so each distinct subsystem is only analyzed once. Scopes run serially.
+
+A scope of at most QR_CUTOFF rows is tested on its dense test matrix. A
+larger one is tested matrix free: only L is applied, as batched matmul, so
+the solver state is a few stacks of m d x d matrices (ARPACK_NCV + 2 of them
+when ARPACK takes over).
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for
@@ -21,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SizeLimitError, inf_norm, spectral_radius
+from .linalg import ARPACK_NCV, QR_CUTOFF, SizeLimitError, inf_norm, spectral_radius
+from .linalg import sparse_spectral_radius
 from .model import DncsModel, neighborhood
 from .switched import MODE_CAP, ModeFamily, build_mode_family, enumerate_links
 
@@ -33,6 +37,14 @@ MARGINAL_BAND = 1e-9
 # relabeling (factorial in the neighborhood size) to the identity labeling,
 # which may split classes but never merges distinct subsystems.
 _CANONICAL_LIMIT = 8
+
+# Step budget and relative error target of the cone iteration (`_cone_radius`).
+_CONE_MAX_ITER = 500
+_CONE_TOL = 1e-13
+
+# A matrix-free scope holds m*d^2 float64s times ARPACK's Krylov size plus
+# two; refuse beyond this many bytes (the old dense cap of 1e8 entries).
+STATE_BYTE_CAP = 800_000_000
 
 
 def verdict(rho: float) -> str:
@@ -133,16 +145,83 @@ def _overall(scopes) -> str:
 
 
 def _scope_result(family: ModeFamily) -> ScopeResult:
-    test = mss_matrix(family)
-    rho = spectral_radius(test.matrix)
+    rho = scope_radius(family)
     return ScopeResult(
         scope=family.label,
         rho=rho,
         stable=rho < 1.0,
         m=family.mode_count,
-        dim=test.matrix.shape[0],
+        dim=family.mode_count * family.state_dim**2,
         verdict=verdict(rho),
     )
+
+
+def scope_radius(family: ModeFamily, transition=None) -> float:
+    """Spectral radius of the second-moment operator L of one scope.
+
+    Up to QR_CUTOFF rows (the same cutoff as `model.nominal_stability`) this
+    is the dense eigensolve of the test matrix. Above, it is matrix free:
+    `_cone_radius`, then ARPACK on L as a LinearOperator when that does not
+    settle (a periodic chain, say). Raises SizeLimitError when the solver
+    state would exceed STATE_BYTE_CAP.
+    """
+    m, d = family.mode_count, family.state_dim
+    dim = m * d * d
+    if dim <= QR_CUTOFF:
+        return spectral_radius(mss_matrix(family, transition).matrix)
+    state = 8 * dim * (ARPACK_NCV + 2)
+    if state > STATE_BYTE_CAP:
+        raise SizeLimitError(
+            f"scope {family.label}: the spectral test would hold {state} bytes "
+            f"of solver state (cap {STATE_BYTE_CAP}); try --dedup or a sparser "
+            "neighborhood"
+        )
+    rho = _cone_radius(family, transition)
+    if rho is not None:
+        return rho
+    from scipy.sparse.linalg import LinearOperator
+
+    def apply(v):
+        return second_moment_map(family, v.reshape(m, d, d), transition).ravel()
+
+    return sparse_spectral_radius(LinearOperator((dim, dim), matvec=apply, dtype=float))
+
+
+def _cone_radius(family: ModeFamily, transition=None) -> float | None:
+    """Spectral radius of L by power iteration from the stacked identities,
+    or None when it does not settle within _CONE_MAX_ITER steps.
+
+    L maps the PSD cone into itself (Costa, Fragoso & Marques, Discrete-Time
+    Markov Jump Linear Systems, 2005, ch. 3), so its radius is an eigenvalue
+    with a PSD eigenvector, and the growth of the trace tends to it. The
+    iteration stops on an a-posteriori error estimate: with r the ratio of
+    successive changes of the growth, a geometric tail has |change| r/(1-r)
+    left to go. The estimate must pass twice in a row, so one change that
+    happens to be tiny cannot stop it. A periodic chain keeps the growth
+    oscillating and gets None.
+    """
+    m, d = family.mode_count, family.state_dim
+    x = np.broadcast_to(np.eye(d) / (m * d), (m, d, d))
+    growth = change = 0.0
+    passed = 0
+    for _ in range(_CONE_MAX_ITER):
+        y = second_moment_map(family, x, transition)
+        prev, growth = growth, float(np.trace(y, axis1=1, axis2=2).sum())
+        if growth == 0.0:
+            return 0.0
+        prev_change, change = change, abs(growth - prev)
+        if change == 0.0:
+            error = 0.0
+        elif change < prev_change:
+            r = change / prev_change
+            error = change * r / (1.0 - r)
+        else:
+            error = np.inf
+        passed = passed + 1 if error <= _CONE_TOL * growth else 0
+        if passed == 2:
+            return growth
+        x = y / growth
+    return None
 
 
 def mss_test_family(family: ModeFamily) -> StabilityReport:
@@ -300,9 +379,11 @@ def second_moment_map(family: ModeFamily, q, transition=None) -> np.ndarray:
     decides stability. `transition` overrides the family's joint chain, as in
     mss_matrix.
     """
-    p = family.joint_P if transition is None else transition
-    pushed = np.einsum("rij,rjk,rlk->ril", family.matrices, q, family.matrices)
-    return np.einsum("rs,ril->sil", p, pushed)
+    p = family.joint_P if transition is None else np.asarray(transition, dtype=float)
+    w = family.matrices
+    m, d = w.shape[:2]
+    pushed = (w @ q @ w.transpose(0, 2, 1)).reshape(m, -1)
+    return (p.T @ pushed).reshape(m, d, d)
 
 
 def covariance_step(family: ModeFamily, state: CovarianceState) -> CovarianceState:

@@ -1,0 +1,212 @@
+"""The matrix-free spectral test of scopes above QR_CUTOFF rows: cone
+iteration on the second-moment operator, ARPACK when it does not settle,
+and the byte cap on solver state. Dense eig of the test matrix, ARPACK on
+the operator and the covariance recursion are the oracles."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from scipy.sparse.linalg import LinearOperator
+
+from mjlstab import stability
+from mjlstab.cli import main
+from mjlstab.linalg import QR_CUTOFF, SizeLimitError, kron_power, sparse_spectral_radius
+from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
+from mjlstab.stability import (
+    _cone_radius,
+    covariance_init,
+    covariance_step,
+    covariance_trace,
+    mss_matrix,
+    mss_test_family,
+    mss_test_reduced,
+    scope_radius,
+    second_moment_map,
+)
+from mjlstab.switched import ModeFamily, build_mode_family
+
+
+def dense_rho(fam):
+    return float(np.abs(np.linalg.eigvals(mss_matrix(fam).matrix)).max())
+
+
+def arpack_rho(fam):
+    m, d = fam.mode_count, fam.state_dim
+    dim = m * d * d
+    op = LinearOperator(
+        (dim, dim),
+        matvec=lambda v: second_moment_map(fam, v.reshape(m, d, d)).ravel(),
+        dtype=float,
+    )
+    return sparse_spectral_radius(op)
+
+
+def covariance_growth(fam, steps):
+    """Growth of the total second moment over the last step of the exact
+    recursion: it tends to rho when the chain is aperiodic."""
+    state = covariance_init(fam)
+    for _ in range(steps):
+        state = covariance_step(fam, state)
+    before = covariance_trace(state)
+    return covariance_trace(covariance_step(fam, state)) / before
+
+
+def interior_family():
+    return build_mode_family(build_pendulum_model(16), scope=2)
+
+
+def ladder_model(seed):
+    """Two 4-rings of scalar agents joined by rungs: each neighborhood holds
+    6 internal links, so every scope has 64 modes and 4096 rows."""
+    rng = np.random.default_rng(seed)
+    edges = [(1 + k, 1 + (k + 1) % 4) for k in range(4)]
+    edges += [(5 + k, 5 + (k + 1) % 4) for k in range(4)]
+    edges += [(1 + k, 5 + k) for k in range(4)]
+    blocks = {(i, i): rng.uniform(0.4, 0.65, size=(1, 1)) for i in range(1, 9)}
+    for a, b in edges:
+        blocks[(a, b)] = rng.uniform(0.05, 0.1, size=(1, 1))
+        blocks[(b, a)] = rng.uniform(0.05, 0.1, size=(1, 1))
+    chain = DelayChain(P=[[0.6, 0.4], [0.3, 0.7]], pi0=[1.0, 0.0])
+    return DncsModel(n_agents=8, n=1, tau_d=1, blocks=blocks, chain=chain)
+
+
+def contractive_family(rng, m, d):
+    w = rng.standard_normal((m, d, d))
+    w *= (np.sqrt(rng.uniform(0.2, 0.9, size=m)) / np.abs(w).sum(axis=2).max(axis=1))[:, None, None]
+    return ModeFamily.from_matrices(w, rng.dirichlet(np.ones(m), size=m))
+
+
+def tau2_pendulum_model(n_agents=8):
+    dt, coupling, gain, ml2 = 0.1, 0.04, 5.0, 0.5
+    diag = np.array([[1.0, dt], [-2.0 * dt, 1.0 - 3.0 * dt]])
+    link = np.array([[0.0, 0.0], [coupling * gain * dt / ml2, 0.0]])
+    blocks = {(i, i): diag for i in range(1, n_agents + 1)}
+    for i in range(1, n_agents):
+        blocks[(i, i + 1)] = link
+        blocks[(i + 1, i)] = link
+    chain = DelayChain(P=[[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.2, 0.3, 0.5]],
+                       pi0=[1.0, 0.0, 0.0])
+    return DncsModel(n_agents=n_agents, n=2, tau_d=2, blocks=blocks, chain=chain)
+
+
+def rotation_grid_model(side=5, theta=0.8, radius=0.6, coupling=0.05):
+    diag = radius * np.array([[math.cos(theta), -math.sin(theta)],
+                              [math.sin(theta), math.cos(theta)]])
+    blocks = {}
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c + 1
+            blocks[(i, i)] = diag
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                if 0 <= r + dr < side and 0 <= c + dc < side:
+                    blocks[(i, (r + dr) * side + c + dc + 1)] = coupling * np.eye(2)
+    chain = DelayChain(P=[[0.5, 0.5], [0.3, 0.7]], pi0=[1.0, 0.0])
+    return DncsModel(n_agents=side * side, n=2, tau_d=1, blocks=blocks, chain=chain)
+
+
+# ---------------------------------------------------------------------------
+# Periodic chains: the cone iteration hands over to ARPACK
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chain", ["cyclic", "link_flip"])
+def test_deterministic_chain_matches_dense_eig(chain):
+    # a power iteration on these never settles: the joint chain is periodic
+    base = interior_family()
+    p = (np.roll(np.eye(16), 1, axis=1) if chain == "cyclic"
+         else kron_power([[0.0, 1.0], [1.0, 0.0]], 4))
+    fam = ModeFamily.from_matrices(base.matrices, p)
+    assert _cone_radius(fam) is None
+    rho = mss_test_family(fam).scopes[0].rho
+    assert rho == pytest.approx(dense_rho(fam), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Accuracy above the dense cutoff
+# ---------------------------------------------------------------------------
+
+
+def test_small_scopes_keep_the_dense_eigensolve():
+    fam = build_mode_family(build_pendulum_model(16), scope=1)
+    dim = fam.mode_count * fam.state_dim ** 2
+    assert dim <= QR_CUTOFF
+    assert mss_test_family(fam).scopes[0].rho == dense_rho(fam)
+
+
+def test_pendulum_interior_scope_matches_dense_eig():
+    fam = interior_family()
+    assert fam.mode_count * fam.state_dim ** 2 == 2304
+    assert scope_radius(fam) == pytest.approx(dense_rho(fam), abs=1e-9)
+
+
+def test_ladder_scopes_match_dense_eig_and_arpack():
+    report = mss_test_reduced(ladder_model(7))
+    assert [s.dim for s in report.scopes] == [4096] * 8
+    model = ladder_model(7)
+    for agent, scope in enumerate(report.scopes, start=1):
+        assert scope.rho == pytest.approx(
+            arpack_rho(build_mode_family(model, scope=agent)), abs=1e-9)
+    # one dense eigensolve of a 4096-row test matrix takes seconds
+    assert report.scopes[0].rho == pytest.approx(
+        dense_rho(build_mode_family(model, scope=1)), abs=1e-9)
+
+
+def test_random_contractive_families_match_dense_eig():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        fam = contractive_family(rng, int(rng.integers(150, 201)), 2)
+        assert 600 <= fam.mode_count * 4 <= 4096
+        assert scope_radius(fam) == pytest.approx(dense_rho(fam), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Models whose dense test matrices were refused
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [tau2_pendulum_model, rotation_grid_model])
+def test_wide_scopes_analyze_with_dedup(make, capsys, tmp_path):
+    model = make()
+    report = mss_test_reduced(model, dedup=True)
+    assert report.overall == "stable"
+    assert max(s.dim for s in report.scopes) > 10_000
+    for cls, scope in zip(report.classes, report.scopes):
+        fam = build_mode_family(model, scope=cls[0])
+        assert scope.rho == pytest.approx(arpack_rho(fam), abs=1e-9)
+        assert scope.rho == pytest.approx(covariance_growth(fam, 150), rel=1e-6)
+
+    doc = {
+        "N": model.n_agents, "n": model.n, "tau_d": model.tau_d,
+        "blocks": [{"i": i, "j": j, "values": b.ravel().tolist()}
+                   for (i, j), b in sorted(model.blocks.items())],
+        "chain": {"P": model.chain.P.tolist(), "pi0": model.chain.pi0.tolist()},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--model", str(path), "--dedup"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [s["rho"] for s in out["scopes"]] == [s.rho for s in report.scopes]
+
+
+# ---------------------------------------------------------------------------
+# Byte cap on the matrix-free solver state
+# ---------------------------------------------------------------------------
+
+
+def test_solver_state_byte_cap(monkeypatch):
+    fam = interior_family()
+    state = 8 * 2304 * 42
+    monkeypatch.setattr(stability, "STATE_BYTE_CAP", state - 1)
+    with pytest.raises(SizeLimitError) as err:
+        mss_test_family(fam)
+    message = str(err.value)
+    assert f"{state} bytes" in message
+    assert f"cap {state - 1}" in message
+    assert "--dedup" in message
+    monkeypatch.setattr(stability, "STATE_BYTE_CAP", state)
+    assert mss_test_family(fam).overall == "stable"
+    # scopes on the dense path never reach the cap
+    monkeypatch.setattr(stability, "STATE_BYTE_CAP", 0)
+    assert mss_test_family(build_mode_family(build_pendulum_model(16), scope=1)).overall == "stable"
