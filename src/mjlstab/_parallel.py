@@ -1,8 +1,10 @@
-"""Thread-pool map over the Monte Carlo trials of `sim.estimate_ms`.
+"""Thread-pool map over the trial blocks of `sim.estimate_ms`.
 
-The trial step loop releases the GIL in numpy, so a pool beats a loop there.
-The per-agent scopes run serially (see `stability`): a pool over them
-measured slower. Results come back in input order.
+`estimate_ms` gives it one block of trials per core. A block's step loop
+spends most of its time in numpy calls that release the GIL, so two blocks
+on two threads measured faster than one block of all trials. The per-agent
+scopes run serially (see `stability`): a pool over them measured slower.
+Results come back in input order.
 """
 
 from __future__ import annotations

@@ -9,12 +9,17 @@ otherwise define).
 Randomness comes from a counter-based generator (Philox) keyed by
 (seed, trial) with a fixed draw order (initial state, initial delays, then
 one block of uniforms per step), so every trial is reproducible on its own
-and independent of how trials are scheduled across threads. `estimate_ms`
-runs trials on one thread per core: serial trials measured slower.
+and independent of how trials are grouped into blocks and threads.
+
+One step loop serves both entry points: it advances a block of trials
+together, with trials on the last array axis, so each numpy call covers the
+whole block. `simulate_trajectory` runs a block of one trial and keeps its
+states; `estimate_ms` runs one block per core and keeps only squared norms.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,11 +70,43 @@ def _trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_trajectory(
-    model: DncsModel, config: SimConfig, trial: int = 0
-) -> TrajectoryRecord:
-    """Simulate one trajectory, deterministic given (config.seed, trial)."""
-    rng = _trial_generator(config.seed, trial)
+def _next_delay(u: np.ndarray, cum: np.ndarray, prev=None) -> np.ndarray:
+    """Delays drawn at uniforms u by inverting the cumulative distribution
+    `cum` (q,), or with `prev` the rows cum[prev] of a cumulative transition
+    matrix (q, q).
+
+    Only the first q-1 thresholds count: the last one may sit just below 1
+    (rounding of the cumsum, or rows summing to 1 - 1e-12), and a draw above
+    it must still give the last delay, q-1, not q.
+    """
+    delay = np.zeros(u.shape, dtype=int)
+    for c in range(cum.shape[-1] - 1):
+        delay += u >= (cum[c] if prev is None else cum[:, c].take(prev))
+    return delay
+
+
+def _products(
+    mats: np.ndarray, xs: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> None:
+    """out[a, :, t] = mats[a] @ xs[a, :, t], summed over j in index order from
+    +0.0 (the order of a plain matrix-vector loop); tmp is scratch."""
+    out.fill(0.0)
+    for j in range(mats.shape[-1]):
+        np.multiply(mats[:, :, j, None], xs[:, None, j, :], out=tmp)
+        out += tmp
+
+
+def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
+    """Advance a block of trials through one step loop, trials on the last axis.
+
+    States are (N, n, T) and delays (L, T). Each trial draws from its own
+    generator in the order described above, so every trial gives the same
+    bits as when run alone. Returns the links, the squared norms
+    (T, steps+1) and, with keep (one trial), the states (steps+1, N, n) and
+    the delays (steps, L).
+    """
+    rngs = [_trial_generator(config.seed, int(t)) for t in trials]
+    n_trials, steps = len(rngs), config.steps
     n_agents, n, q = model.n_agents, model.n, model.q
     links = enumerate_links(model)
     n_links = len(links)
@@ -77,69 +114,104 @@ def simulate_trajectory(
     if isinstance(config.init, str):
         if config.init != "uniform":
             raise ValueError(f"unknown init rule {config.init!r}")
-        x0 = rng.uniform(-1.0, 1.0, size=(n_agents, n))
+        x = np.stack(
+            [rng.uniform(-1.0, 1.0, size=(n_agents, n)) for rng in rngs], axis=-1
+        )
     else:
         x0 = np.asarray(config.init, dtype=float).reshape(n_agents, n)
+        x = np.repeat(x0[:, :, None], n_trials, axis=2)
 
-    receivers = np.array([l - 1 for (l, _) in links], dtype=int)
-    senders = np.array([j - 1 for (_, j) in links], dtype=int)
+    diag_mats = np.stack([model.blocks[(i, i)] for i in range(1, n_agents + 1)])
     link_mats = (
         np.stack([model.blocks[link] for link in links])
         if n_links
         else np.zeros((0, n, n))
     )
-    diag_mats = np.stack(
-        [model.blocks[(i, i)] for i in range(1, n_agents + 1)]
-    )
+    receivers = np.array([i - 1 for (i, _) in links], dtype=int)
+    senders = np.array([j - 1 for (_, j) in links], dtype=int)
+    # links come sorted by receiver; slot s holds each receiver's s-th
+    # incoming link, so receivers are unique within a slot and each receiver
+    # adds its links in link order
+    rank = np.arange(n_links) - np.searchsorted(receivers, receivers)
+    slots = [
+        (receivers[rank == s], np.flatnonzero(rank == s))
+        for s in range(rank.max(initial=-1) + 1)
+    ]
 
-    cum_pi0 = np.cumsum(model.chain.pi0)
+    u = np.empty((n_trials, n_links))
+    for t, rng in enumerate(rngs):
+        rng.random(out=u[t])
+    delays = _next_delay(u.T, np.cumsum(model.chain.pi0))
     cum_p = np.cumsum(model.chain.P, axis=1)
-    delays = (rng.random(n_links)[:, None] >= cum_pi0[None, :]).sum(axis=1)
 
-    hist = np.tile(x0, (q, 1, 1))  # ring buffer of the last q states
+    x_next, tmp = np.empty_like(x), np.empty_like(x)
+    # ring of the last q link products M_l x(k)[sender_l]; x(k) for k < 0 is x(0)
+    prods = np.empty((q, n_links, n, n_trials))
+    delayed, link_tmp = np.empty_like(prods[0]), np.empty_like(prods[0])
+    _products(link_mats, x[senders], delayed, link_tmp)
+    prods[:] = delayed
     head = 0
-    states = np.empty((config.steps + 1, n_agents, n))
-    states[0] = x0
-    delays_out = np.empty((config.steps, n_links), dtype=int)
+    flat = np.empty((n_trials, n_agents, n))  # x(k) per trial, row-major
+    sqnorm = np.empty((n_trials, steps + 1))
+    states = delays_out = None
+    if keep:
+        states = np.empty((steps + 1, n_agents, n))
+        delays_out = np.empty((steps, n_links), dtype=int)
 
-    for k in range(config.steps):
-        delays_out[k] = delays
-        x_next = np.einsum("aij,aj->ai", diag_mats, hist[head])
-        if n_links:
-            src = hist[(head - delays) % q, senders]
-            contrib = np.einsum("lij,lj->li", link_mats, src)
-            np.add.at(x_next, receivers, contrib)
+    for k in range(steps + 1):
+        flat[...] = x.transpose(2, 0, 1)
+        sqnorm[:, k] = (flat * flat).reshape(n_trials, -1).sum(axis=1)
+        if keep:
+            states[k] = x[..., 0]
+        if k == steps:
+            break
+        if keep:
+            delays_out[k] = delays[:, 0]
+        _products(diag_mats, x, x_next, tmp)
+        np.copyto(delayed, prods[head])
+        for d in range(1, q):
+            np.copyto(delayed, prods[(head - d) % q], where=(delays == d)[:, None, :])
+        for slot_receivers, slot_links in slots:
+            x_next[slot_receivers] += delayed[slot_links]
         head = (head + 1) % q
-        hist[head] = x_next
-        states[k + 1] = x_next
-        u = rng.random(n_links)
-        if n_links:
-            delays = (u[:, None] >= cum_p[delays]).sum(axis=1)
+        _products(link_mats, x_next[senders], prods[head], link_tmp)
+        for t, rng in enumerate(rngs):
+            rng.random(out=u[t])
+        delays = _next_delay(u.T, cum_p, delays)
+        x, x_next = x_next, x
+    return links, sqnorm, states, delays_out
 
-    flat = states.reshape(config.steps + 1, n_agents * n)
+
+def simulate_trajectory(
+    model: DncsModel, config: SimConfig, trial: int = 0
+) -> TrajectoryRecord:
+    """Simulate one trajectory, deterministic given (config.seed, trial)."""
+    links, sqnorm, states, delays = _simulate_block(model, config, [trial], keep=True)
     return TrajectoryRecord(
-        states=flat,
-        sqnorm=(flat * flat).sum(axis=1),
-        delays=delays_out,
+        states=states.reshape(config.steps + 1, model.n_agents * model.n),
+        sqnorm=sqnorm[0],
+        delays=delays,
         links=links,
-        n_agents=n_agents,
-        n=n,
+        n_agents=model.n_agents,
+        n=model.n,
     )
 
 
 def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
     """Sample mean of the squared state norm per step across trials.
 
-    Trials run in a parallel map with per-trial derived generator keys;
-    aggregation order is fixed by trial index, so the result is deterministic
-    regardless of thread scheduling.
+    The trials are split into one contiguous block per core, and each block
+    runs as one batched step loop on a thread of `parallel_map`. Only the
+    squared norms are kept; they are stacked in trial order before the mean,
+    so the result does not depend on the core count or thread scheduling.
     """
-
-    def one(trial: int) -> np.ndarray:
-        return simulate_trajectory(model, config, trial).sqnorm
-
-    stacked = np.stack(parallel_map(one, range(config.trials)))
-    return stacked.mean(axis=0)
+    blocks = np.array_split(
+        np.arange(config.trials), min(os.cpu_count() or 1, config.trials)
+    )
+    sqnorms = parallel_map(
+        lambda block: _simulate_block(model, config, block)[1], blocks
+    )
+    return np.concatenate(sqnorms).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

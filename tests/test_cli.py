@@ -243,7 +243,7 @@ def test_simulate_same_seed_is_byte_identical(capsys, tmp_path):
 
 
 # sha256 of the CSVs of `simulate --pendulum 8 --steps 50 --seed 3` by trial
-# count; 6 trials go through the trial pool. They pin the bytes across
+# count; 6 trials go through the batched trial blocks. They pin the bytes across
 # versions, where the test above only compares two runs of one build.
 GOLDEN_CSV_SHA256 = {
     "6": "0170b87c2ff1acec7f37e2bcf555d80dd75babd799d712aac7202b2ea2dee9a3",

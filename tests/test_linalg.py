@@ -97,7 +97,7 @@ def _dense_with_known_spectrum(dim: int, dominant: float, seed: int) -> np.ndarr
     return q @ d @ q.T
 
 
-def test_spectral_radius_power_iteration_matches_qr_oracle():
+def test_spectral_radius_above_qr_cutoff_matches_known_spectrum():
     dim = QR_CUTOFF + 88
     m = _dense_with_known_spectrum(dim, 0.95, seed=3)
     rho = spectral_radius(m)
@@ -106,14 +106,14 @@ def test_spectral_radius_power_iteration_matches_qr_oracle():
     assert rho == pytest.approx(0.95, rel=1e-6)
 
 
-def test_spectral_radius_power_iteration_growth_case():
+def test_spectral_radius_above_qr_cutoff_growth_case():
     dim = QR_CUTOFF + 40
     m = _dense_with_known_spectrum(dim, 1.3, seed=9)
     assert spectral_radius(m) == pytest.approx(1.3, rel=1e-6)
 
 
-def test_spectral_radius_large_nilpotent_is_zero():
-    # shift matrix: every probe collapses after dim steps
+def test_spectral_radius_above_qr_cutoff_nilpotent_is_zero():
+    # shift matrix: nilpotent, so the eigensolve must return exact zeros
     dim = QR_CUTOFF + 30
     m = np.zeros((dim, dim))
     m[range(1, dim), range(dim - 1)] = 1.0

@@ -1,5 +1,10 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from mjlstab import sim
 
 from mjlstab.model import (
     DelayChain,
@@ -15,6 +20,7 @@ from mjlstab.sim import (
     mean_square_csv,
     simulate_trajectory,
     trajectory_csv,
+    _next_delay,
 )
 from mjlstab.stability import mss_test_full
 
@@ -73,6 +79,148 @@ def test_estimate_ms_is_mean_over_trials():
         [simulate_trajectory(model, cfg, trial=t).sqnorm for t in range(3)]
     )
     assert np.array_equal(estimate_ms(model, cfg), per_trial.mean(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# Batched trials: estimate_ms's blocks against one trajectory at a time
+# ---------------------------------------------------------------------------
+
+
+def pendulum_tau2(n_agents=6):
+    """Pendulum chain with a three-state delay chain (tau_d = 2, q = 3)."""
+    diag = np.array([[1.0, 0.1], [-0.2, 0.7]])
+    link = np.array([[0.0, 0.0], [0.04, 0.0]])
+    blocks = {(i, i): diag for i in range(1, n_agents + 1)}
+    for i in range(1, n_agents):
+        blocks[(i, i + 1)] = link
+        blocks[(i + 1, i)] = link
+    chain = DelayChain(
+        P=[[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.2, 0.3, 0.5]], pi0=[1.0, 0.0, 0.0]
+    )
+    return DncsModel(n_agents=n_agents, n=2, tau_d=2, blocks=blocks, chain=chain)
+
+
+def grid(side=4):
+    """side x side grid of 2-state agents; interior agents have 4 incoming links."""
+    rot = 0.6 * np.array([[np.cos(0.8), -np.sin(0.8)], [np.sin(0.8), np.cos(0.8)]])
+    blocks = {}
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c + 1
+            blocks[(i, i)] = rot
+            link = 0.05 * (1 + i % 3) * np.eye(2)
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                if 0 <= r + dr < side and 0 <= c + dc < side:
+                    blocks[(i, (r + dr) * side + c + dc + 1)] = link
+    chain = DelayChain(P=[[0.5, 0.5], [0.3, 0.7]], pi0=[1.0, 0.0])
+    return DncsModel(n_agents=side * side, n=2, tau_d=1, blocks=blocks, chain=chain)
+
+
+def ladder():
+    """Two 4-rings of scalar agents joined by rungs (degree 3 each)."""
+    rng = np.random.default_rng(3)
+    blocks = {(i, i): np.array([[rng.uniform(0.4, 0.65)]]) for i in range(1, 9)}
+    edges = []
+    for k in range(4):
+        edges += [(1 + k, 1 + (k + 1) % 4), (5 + k, 5 + (k + 1) % 4), (1 + k, 5 + k)]
+    for a, b in edges:
+        blocks[(a, b)] = np.array([[rng.uniform(0.05, 0.1)]])
+        blocks[(b, a)] = np.array([[rng.uniform(0.05, 0.1)]])
+    chain = DelayChain(P=[[0.4, 0.6], [0.3, 0.7]], pi0=[1.0, 0.0])
+    return DncsModel(n_agents=8, n=1, tau_d=1, blocks=blocks, chain=chain)
+
+
+BATCH_CASES = {
+    "tau2-pendulum": (pendulum_tau2, "uniform"),
+    "grid": (grid, "uniform"),
+    "ladder": (ladder, "uniform"),
+    "no-links": (diag_only, "uniform"),
+    "explicit-init": (pendulum_tau2, np.linspace(-1.0, 1.0, 12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_blocks_match_single_trajectories(monkeypatch, case):
+    make, init = BATCH_CASES[case]
+    model = make()
+    cfg = SimConfig(steps=40, trials=7, seed=21, init=init)
+    blocks = []
+    real_map = sim.parallel_map
+
+    def recording_map(fn, items):
+        out = real_map(fn, items)
+        blocks.extend(out)
+        return out
+
+    monkeypatch.setattr(sim, "parallel_map", recording_map)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # blocks of 4 and 3 trials
+    ms = estimate_ms(model, cfg)
+    single = np.stack(
+        [simulate_trajectory(model, cfg, trial=t).sqnorm for t in range(cfg.trials)]
+    )
+    assert [len(b) for b in blocks] == [4, 3]
+    assert np.array_equal(np.concatenate(blocks), single)
+    assert np.array_equal(ms, single.mean(axis=0))
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_estimate_ms_independent_of_core_count(monkeypatch, case):
+    make, init = BATCH_CASES[case]
+    model = make()
+    cfg = SimConfig(steps=30, trials=5, seed=4, init=init)
+    results = []
+    for cores in (1, 2, 3, 8):  # 8 cores > 5 trials: one trial per block
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        results.append(estimate_ms(model, cfg))
+    for other in results[1:]:
+        assert np.array_equal(other, results[0])
+
+
+def test_estimate_ms_memory_stays_per_block():
+    """Only the squared norms of each trial are kept: keeping every trial's
+    states of 200 pendulums over 400 steps would take 128 MB."""
+    model = build_pendulum_model(200)
+    cfg = SimConfig(steps=400, trials=100, seed=0)
+    tracemalloc.start()
+    try:
+        estimate_ms(model, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Delay draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("row", [[0.7, 0.2, 0.1], [0.5, 0.3, 0.2 - 1e-12]])
+def test_delay_draw_above_last_threshold_stays_in_range(row):
+    """The cumulative row may end just below 1 (0.9999999999999999 for
+    [0.7, 0.2, 0.1]); a uniform above it must still give delay q - 1, where
+    counting all q thresholds gave q."""
+    cum = np.cumsum(row)
+    u = np.nextafter(1.0, 0.0)
+    assert u >= cum[-1]
+    assert _next_delay(np.array([u]), cum)[0] == 2
+    # the same row as the transition row out of delay 1
+    cum_p = np.cumsum([[1.0, 0.0, 0.0], row, [0.0, 0.0, 1.0]], axis=1)
+    assert np.array_equal(_next_delay(np.full(2, u), cum_p, np.array([1, 1])), [2, 2])
+
+
+def test_delay_draw_matches_full_count_below_the_last_threshold():
+    rng = np.random.default_rng(0)
+    cum_p = np.cumsum(rng.dirichlet(np.ones(4), size=4), axis=1)
+    prev = rng.integers(0, 4, size=(5, 6))
+    u = rng.random((5, 6)) * 0.999
+    assert np.all(u < cum_p[:, -1].min())
+    assert np.array_equal(
+        _next_delay(u, cum_p, prev), (u[..., None] >= cum_p[prev]).sum(axis=-1)
+    )
+    assert np.array_equal(
+        _next_delay(u, cum_p[0]), (u[..., None] >= cum_p[0]).sum(axis=-1)
+    )
 
 
 # ---------------------------------------------------------------------------
