@@ -11,11 +11,15 @@ every block.
 
 The nominal (delay-free) check is the delay-free case of the second-moment
 test (Costa, Fragoso & Marques 2005, ch. 3): Schur stability of the global
-block matrix. Up to `QR_CUTOFF` rows it is a dense eigensolve. Above, the
-matrix is split along the strongly connected components of the coupling
-graph and each large component is assembled block-sparse, its dominant
-eigenvalue taken from ARPACK; small components, and large ones on which
-ARPACK fails, get a dense eigensolve.
+block matrix. Up to `QR_CUTOFF` rows it is a dense eigensolve. Above, a
+homogeneous network of identical agents with one coupling block K and
+symmetric weights, I (x) C + W (x) K, has its spectrum in closed form: the
+union of spec(C + lambda K) over the eigenvalues lambda of W, so it needs
+one symmetric eigensolve of W and N tiny n x n ones, and no scipy. Any
+other network is split along the strongly connected components of the
+coupling graph and each large component is assembled block-sparse, its
+dominant eigenvalue taken from ARPACK; small components, and large ones on
+which ARPACK fails, get a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -252,24 +256,75 @@ def _strong_components(model: DncsModel) -> list[list[int]]:
             for c in np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])]
 
 
+def _kronecker_radius(model: DncsModel) -> float | None:
+    """Spectral radius of a homogeneous network, I (x) C + W (x) K, from
+    the eigenvalues of the weight matrix W; None when the model is not of
+    that form.
+
+    The form holds when every diagonal block equals one C and every
+    off-diagonal block (i, j) equals w_ij * K for one K (w_ij is read at
+    K's largest entry, then the whole block is compared), and W is exactly
+    symmetric. A block equal to the rounded product w_ij * K differs from
+    the exact product by at most half an ulp per entry, below the backward
+    error of any eigensolver. The dense N x N matrix W and the copy
+    `eigvalsh` makes of it count against `stability.STATE_BYTE_CAP`.
+    """
+    from .stability import STATE_BYTE_CAP
+
+    if 2 * model.n_agents ** 2 * 8 > STATE_BYTE_CAP:
+        return None
+    keys = np.array(list(model.blocks)) - 1
+    vals = np.stack(list(model.blocks.values()))
+    diag = keys[:, 0] == keys[:, 1]
+    c = vals[diag][0]
+    if not (vals[diag] == c).all():
+        return None
+    off_keys, off = keys[~diag], vals[~diag]
+    k = off[0] if len(off) else np.zeros_like(c)
+    at = np.unravel_index(np.argmax(np.abs(k)), k.shape)
+    weights = off[(slice(None), *at)] / k[at]
+    if not (off == weights[:, None, None] * k).all():
+        return None
+    w = np.zeros((model.n_agents, model.n_agents))
+    w[off_keys[:, 0], off_keys[:, 1]] = weights
+    if not (w == w.T).all():
+        return None
+    lam = np.linalg.eigvalsh(w)
+    return float(np.max(np.abs(np.linalg.eigvals(c + lam[:, None, None] * k))))
+
+
 def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     """Spectral radius of the delay-free network matrix and whether it is
     Schur stable (rho < 1).
 
     Up to QR_CUTOFF rows: `spectral_radius` of the dense matrix, an exact
-    eigensolve. Above, the agents are split into the strongly connected
-    components of the coupling graph; ordered by them the matrix is block
-    triangular, so its spectrum is the union of the components' spectra.
-    This gives feed-forward structure (chains, leader-follower networks,
-    isolated agents), whose nilpotent or defective spectra ARPACK cannot
-    resolve, to small exact eigensolves. A component up to QR_CUTOFF rows
-    goes through `spectral_radius` of its dense matrix; a larger one through
-    ARPACK on its block-sparse matrix, falling back to all eigenvalues of its
-    dense matrix when ARPACK fails (for instance on many eigenvalues of top
+    eigensolve. Above, a homogeneous network (one diagonal block C, every
+    coupling a multiple w_ij K of one block K, symmetric weights W) is
+    solved in closed form by `_kronecker_radius`: its matrix is
+    I (x) C + W (x) K, and the Schur form W = Q T Q^H makes it similar to the
+    block-triangular I (x) C + T (x) K, so its spectrum is the union of
+    spec(C + lambda K) over the eigenvalues lambda of W (Fax & Murray, IEEE
+    TAC 2004; Massioni & Verhaegen, IEEE TAC 2009). That holds for
+    disconnected graphs and isolated agents too (lambda = 0 gives spec(C)).
+    Symmetric W gives real lambda from `eigvalsh`, and C + lambda K is one
+    n x n eigensolve each.
+
+    Every other model is split into the strongly connected components of
+    the coupling graph; ordered by them the matrix is block triangular, so
+    its spectrum is the union of the components' spectra. This gives
+    feed-forward structure (chains, leader-follower networks, isolated
+    agents), whose nilpotent or defective spectra ARPACK cannot resolve, to
+    small exact eigensolves. A component up to QR_CUTOFF rows goes through
+    `spectral_radius` of its dense matrix; a larger one through ARPACK on
+    its block-sparse matrix, falling back to all eigenvalues of its dense
+    matrix when ARPACK fails (for instance on many eigenvalues of top
     modulus).
     """
     if model.n_agents * model.n <= QR_CUTOFF:
         rho = spectral_radius(build_global_matrix(model))
+        return rho, rho < 1.0
+    rho = _kronecker_radius(model)
+    if rho is not None:
         return rho, rho < 1.0
     rho = 0.0
     for agents in _strong_components(model):

@@ -219,10 +219,6 @@ def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def trajectory_csv(record: TrajectoryRecord) -> str:
     """CSV text of one trajectory: columns k, per-agent states, sqnorm.
 
@@ -237,18 +233,24 @@ def trajectory_csv(record: TrajectoryRecord) -> str:
             for a in range(1, record.n_agents + 1)
             for c in range(1, record.n + 1)
         ]
+    # one %-format per row over Python floats ("%.17g" prints exactly what
+    # format(v, ".17g") does); rows are converted one at a time, so no
+    # Python float exists for the whole array at once
+    row_fmt = "%d," + ",".join(["%.17g"] * record.states.shape[1]) + ",%.17g"
     lines = ["k," + ",".join(names) + ",sqnorm"]
-    for k, (row, sq) in enumerate(zip(record.states, record.sqnorm)):
-        lines.append(f"{k}," + ",".join(_fmt(v) for v in row) + f",{_fmt(sq)}")
-    return "\n".join(lines) + "\n"
+    for k, (row, sq) in enumerate(zip(record.states, record.sqnorm.tolist())):
+        lines.append(row_fmt % (k, *row.tolist(), sq))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def mean_square_csv(values) -> str:
     """CSV text of a mean-square trajectory: columns k, mean_sq."""
     lines = ["k,mean_sq"]
-    for k, v in enumerate(np.asarray(values, dtype=float)):
-        lines.append(f"{k},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    for k, v in enumerate(np.asarray(values, dtype=float).tolist()):
+        lines.append("%d,%.17g" % (k, v))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def export_csv(text: str, path) -> None:

@@ -338,6 +338,20 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
+def test_analyze_large_pendulum_leaves_scipy_unloaded():
+    # the 2000-row pendulum network is homogeneous, so its nominal check is
+    # the closed form over the weight matrix's eigenvalues, not ARPACK
+    src = str(Path(mjlstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, mjlstab.cli; "
+             "code = mjlstab.cli.main(['analyze', '--pendulum', '1000', '--dedup']); "
+             "print(code, 'scipy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert json.loads(proc.stdout)["overall"] == "stable"
+    assert proc.stderr.split() == ["0", "False"]
+
+
 def test_analyze_shift_ring_above_dense_cutoff(capsys, tmp_path):
     # 257 agents of dimension 2, each receiving its predecessor's state
     # unchanged: 514 eigenvalues on the unit circle, where ARPACK cannot

@@ -421,6 +421,107 @@ def test_nominal_random_sparse_models_match_dense_eig(seed, degree):
     assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
 
 
+def symmetric_weighted_model(seed: int, n_agents: int, n: int, isolated: int) -> DncsModel:
+    """Seeded homogeneous model: one diagonal block C and couplings w_ij * K
+    on random undirected pairs, w_ij = w_ji; `isolated` agents get no link.
+    The weights are signed powers of two, so every block is an exact
+    multiple of every other and the weights read back exactly whichever
+    block serves as K."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-0.5, 0.5, (n, n))
+    k = rng.uniform(-0.5, 0.5, (n, n))
+    blocks = {(i, i): c for i in range(1, n_agents + 1)}
+    lonely = set(rng.choice(np.arange(1, n_agents + 1), isolated, replace=False).tolist())
+    for _ in range(2 * n_agents):
+        i, j = (int(a) for a in rng.integers(1, n_agents + 1, size=2))
+        if i != j and i not in lonely and j not in lonely:
+            w = rng.choice([-1.0, 1.0]) * 2.0 ** -int(rng.integers(0, 4))
+            blocks[(i, j)] = blocks[(j, i)] = w * k
+    return static_model(n_agents, n, blocks)
+
+
+@pytest.fixture
+def general_path_calls(monkeypatch):
+    """Names of the general nominal path's solvers, appended on each call."""
+    import mjlstab.model as model_module
+
+    calls = []
+    for name in ("_strong_components", "sparse_spectral_radius"):
+        def spy(*args, _real=getattr(model_module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(model_module, name, spy)
+    return calls
+
+
+KRONECKER = {
+    "weighted_n2": lambda: symmetric_weighted_model(0, 300, 2, isolated=10),
+    "weighted_n3": lambda: symmetric_weighted_model(1, 300, 3, isolated=10),
+    "pendulum": lambda: build_pendulum_model(300),
+    "pendulum_uncoupled": lambda: build_pendulum_model(300, params=PendulumParams(coupling=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRONECKER))
+def test_homogeneous_nominal_takes_kronecker_path(name, general_path_calls):
+    model = KRONECKER[name]()
+    assert model.n_agents * model.n > QR_CUTOFF
+    rho, stable = nominal_stability(model)
+    assert general_path_calls == []
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
+    assert stable == (rho < 1.0)
+
+
+def _with_block(model: DncsModel, key, block) -> DncsModel:
+    return static_model(model.n_agents, model.n, {**model.blocks, key: block})
+
+
+def _pendulum_diagonal_ulp() -> DncsModel:
+    pend = build_pendulum_model(300)
+    blk = pend.blocks[(7, 7)].copy()
+    blk[1, 1] = np.nextafter(blk[1, 1], np.inf)
+    return _with_block(pend, (7, 7), blk)
+
+
+def _pendulum_coupling_not_multiple() -> DncsModel:
+    pend = build_pendulum_model(300)
+    blk = pend.blocks[(8, 7)].copy()
+    blk[0, 1] = 1e-3 * blk[1, 0]
+    return _with_block(pend, (8, 7), blk)
+
+
+GENERAL = {
+    "diagonal_ulp": _pendulum_diagonal_ulp,
+    "coupling_not_multiple": _pendulum_coupling_not_multiple,
+    # exactly one diagonal block and one K, but W is not symmetric
+    "shift_ring": lambda: static_model(_N, 2, DEGENERATE["shift_ring"]),
+    "leader_follower": lambda: static_model(_N, 2, DEGENERATE["leader_follower"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL))
+def test_inhomogeneous_nominal_takes_general_path(name, general_path_calls):
+    model = GENERAL[name]()
+    rho, _ = nominal_stability(model)
+    assert "_strong_components" in general_path_calls
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
+
+
+def test_kronecker_path_respects_state_byte_cap(monkeypatch, general_path_calls):
+    from mjlstab import stability
+
+    model = build_pendulum_model(300)
+    need = 2 * 300 ** 2 * 8  # W and the copy eigvalsh makes of it
+    monkeypatch.setattr(stability, "STATE_BYTE_CAP", need - 1)
+    rho, _ = nominal_stability(model)
+    assert general_path_calls == ["_strong_components", "sparse_spectral_radius"]
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
+    general_path_calls.clear()
+    monkeypatch.setattr(stability, "STATE_BYTE_CAP", need)
+    nominal_stability(model)
+    assert general_path_calls == []
+
+
 def test_pendulum_param_overrides_shape_coupling():
     strong = build_pendulum_model(3, params=PendulumParams(coupling=0.08))
     weak = build_pendulum_model(3)

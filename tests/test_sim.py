@@ -358,6 +358,45 @@ def test_csv_values_round_trip_exactly():
         assert float(parts[3]) == rec.sqnorm[k]
 
 
+def _per_value_csv(record) -> str:
+    """Reference CSV text: one format(float(v), ".17g") call per value."""
+    lines = [trajectory_csv(record).split("\n", 1)[0]]
+    for k, (row, sq) in enumerate(zip(record.states, record.sqnorm)):
+        lines.append(f"{k}," + ",".join(format(float(v), ".17g") for v in row)
+                     + "," + format(float(sq), ".17g"))
+    return "\n".join(lines) + "\n"
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_csv_matches_per_value_format_and_its_peak():
+    """200 pendulums over 400 steps, plus a row of special values: the same
+    text as formatting each value on its own, at no higher tracemalloc
+    peak. The build holds the lines and the joined text, and one row's
+    Python floats at a time; converting the whole array at once would add
+    about 5 MB of floats."""
+    rec = simulate_trajectory(build_pendulum_model(200), SimConfig(steps=400, seed=1))
+    text = trajectory_csv(rec)
+    same = text == _per_value_csv(rec)  # kept out of the assert: no 3.5 MB diff
+    assert same
+    peak = _traced_peak(trajectory_csv, rec)
+    assert peak <= _traced_peak(_per_value_csv, rec)
+    assert peak <= 2 * len(text) + 2**20
+    special = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 1 / 3,
+                         1e16, 0.1 + 0.2]])
+    rec.states, rec.sqnorm = special, np.array([np.nan])
+    assert trajectory_csv(rec).split("\n")[1] == _per_value_csv(rec).split("\n")[1]
+    assert mean_square_csv(special[0]).split("\n")[1:-1] == [
+        f"{k},{format(v, '.17g')}" for k, v in enumerate(special[0].tolist())]
+
+
 def test_mean_square_csv_layout():
     text = mean_square_csv([4.0, 1.0, 0.25])
     assert text == "k,mean_sq\n0,4\n1,1\n2,0.25\n"
