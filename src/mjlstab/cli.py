@@ -155,15 +155,17 @@ def _model_source(args, allow_family: bool):
         model = build_pendulum_model(args.pendulum, params=_parse_params(args.param))
         return model, None, _sha256(dump_model(model).encode())
     family = _load_family(args.family)
-    canonical = json.dumps(
-        {
-            "matrices": family.matrices.tolist(),
-            "P": family.joint_P.tolist(),
-            "pi0": family.joint_pi0.tolist(),
-        },
-        sort_keys=True,
-    )
-    return None, family, _sha256(canonical.encode())
+    return None, family, _family_digest(family)
+
+
+def _family_digest(family: ModeFamily) -> str:
+    """SHA-256 of a raw family in a fixed byte layout: the shape (m, d, d)
+    of `matrices` as three little-endian uint64, then `matrices`, `P` and
+    `pi0`, each as C-order little-endian float64."""
+    digest = hashlib.sha256(np.array(family.matrices.shape, dtype="<u8").tobytes())
+    for a in (family.matrices, family.joint_P, family.joint_pi0):
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def _emit(doc: dict, args, command: str, digest: str, started: float, payload: str | None = None) -> None:

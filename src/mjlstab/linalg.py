@@ -4,7 +4,10 @@ Two spectral-radius solvers live here:
 
 - `spectral_radius` takes a dense numpy array and returns the largest
   eigenvalue magnitude from a full QR eigensolve. The analysis uses it only
-  up to QR_CUTOFF rows; above that it is the tests' oracle.
+  up to QR_CUTOFF rows, and only as a fallback: for a scope on which the
+  cone iteration does not settle, and for the nominal check of a network
+  that is not homogeneous. Besides, `robust.grid_scan_max_rho` scans with
+  it, and the tests use it as their oracle.
 - `sparse_spectral_radius` takes a scipy sparse array or `LinearOperator`
   and runs ARPACK's implicitly restarted Arnoldi method (Lehoucq, Sorensen &
   Yang, *ARPACK Users' Guide*, SIAM 1998) for the largest-modulus
@@ -19,8 +22,10 @@ import numpy as np
 # Refuse to materialize Kronecker products beyond this many entries.
 KRON_ENTRY_LIMIT = 100_000_000
 
-# Dimension above which the nominal check and the scope test stop building
-# dense matrices for `spectral_radius` and go to sparse or matrix-free solvers.
+# Largest dimension at which the scope test's fallback (when the cone
+# iteration does not settle) and the nominal check of a network that is not
+# homogeneous build a dense matrix for `spectral_radius`; above it they use
+# ARPACK.
 QR_CUTOFF = 512
 
 # Seed of the deterministic ARPACK start vector.

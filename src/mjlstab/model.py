@@ -11,15 +11,15 @@ every block.
 
 The nominal (delay-free) check is the delay-free case of the second-moment
 test (Costa, Fragoso & Marques 2005, ch. 3): Schur stability of the global
-block matrix. Up to `QR_CUTOFF` rows it is a dense eigensolve. Above, a
-homogeneous network of identical agents with one coupling block K and
-symmetric weights, I (x) C + W (x) K, has its spectrum in closed form: the
-union of spec(C + lambda K) over the eigenvalues lambda of W, so it needs
-one symmetric eigensolve of W and N tiny n x n ones, and no scipy. Any
-other network is split along the strongly connected components of the
-coupling graph and each large component is assembled block-sparse, its
-dominant eigenvalue taken from ARPACK; small components, and large ones on
-which ARPACK fails, get a dense eigensolve.
+block matrix. At every size, a homogeneous network of identical agents with
+one coupling block K and symmetric weights, I (x) C + W (x) K, has its
+spectrum in closed form: the union of spec(C + lambda K) over the
+eigenvalues lambda of W, so it needs one symmetric eigensolve of W and N
+tiny n x n ones, and no scipy. Any other network takes a dense eigensolve
+up to `QR_CUTOFF` rows; above, it is split along the strongly connected
+components of the coupling graph and each large component is assembled
+block-sparse, its dominant eigenvalue taken from ARPACK; small components,
+and large ones on which ARPACK fails, get a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -261,12 +261,15 @@ def _kronecker_radius(model: DncsModel) -> float | None:
     the eigenvalues of the weight matrix W; None when the model is not of
     that form.
 
-    The form holds when every diagonal block equals one C and every
-    off-diagonal block (i, j) equals w_ij * K for one K (w_ij is read at
-    K's largest entry, then the whole block is compared), and W is exactly
-    symmetric. A block equal to the rounded product w_ij * K differs from
-    the exact product by at most half an ulp per entry, below the backward
-    error of any eigensolver. The dense N x N matrix W and the copy
+    The form holds when every diagonal block equals one C exactly, every
+    off-diagonal block (i, j) equals w_ij * K for one K (the first
+    off-diagonal block) to within 4 eps |w_ij| max|K| per entry, and W is
+    exactly symmetric. w_ij is read at K's largest entry, so a block built
+    as w * k with a real weight reads back w_ij = w / w_1 rounded, and
+    w_ij * K then misses the block by a few ulps (at most 1.9 eps |w_ij|
+    max|K| measured on seeded uniform weights, n up to 4). That difference
+    is of the order of rounding the network matrix itself, below the
+    backward error of any eigensolver. The dense N x N matrix W and the copy
     `eigvalsh` makes of it count against `stability.STATE_BYTE_CAP`.
     """
     from .stability import STATE_BYTE_CAP
@@ -283,7 +286,8 @@ def _kronecker_radius(model: DncsModel) -> float | None:
     k = off[0] if len(off) else np.zeros_like(c)
     at = np.unravel_index(np.argmax(np.abs(k)), k.shape)
     weights = off[(slice(None), *at)] / k[at]
-    if not (off == weights[:, None, None] * k).all():
+    tol = 4 * np.finfo(float).eps * np.abs(weights * k[at])
+    if not (np.abs(off - weights[:, None, None] * k) <= tol[:, None, None]).all():
         return None
     w = np.zeros((model.n_agents, model.n_agents))
     w[off_keys[:, 0], off_keys[:, 1]] = weights
@@ -297,8 +301,7 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     """Spectral radius of the delay-free network matrix and whether it is
     Schur stable (rho < 1).
 
-    Up to QR_CUTOFF rows: `spectral_radius` of the dense matrix, an exact
-    eigensolve. Above, a homogeneous network (one diagonal block C, every
+    At every size, a homogeneous network (one diagonal block C, every
     coupling a multiple w_ij K of one block K, symmetric weights W) is
     solved in closed form by `_kronecker_radius`: its matrix is
     I (x) C + W (x) K, and the Schur form W = Q T Q^H makes it similar to the
@@ -309,22 +312,23 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     Symmetric W gives real lambda from `eigvalsh`, and C + lambda K is one
     n x n eigensolve each.
 
-    Every other model is split into the strongly connected components of
-    the coupling graph; ordered by them the matrix is block triangular, so
-    its spectrum is the union of the components' spectra. This gives
-    feed-forward structure (chains, leader-follower networks, isolated
-    agents), whose nilpotent or defective spectra ARPACK cannot resolve, to
-    small exact eigensolves. A component up to QR_CUTOFF rows goes through
-    `spectral_radius` of its dense matrix; a larger one through ARPACK on
-    its block-sparse matrix, falling back to all eigenvalues of its dense
-    matrix when ARPACK fails (for instance on many eigenvalues of top
+    Every other model takes `spectral_radius` of its dense matrix up to
+    QR_CUTOFF rows. Above, it is split into the strongly connected
+    components of the coupling graph; ordered by them the matrix is block
+    triangular, so its spectrum is the union of the components' spectra.
+    This gives feed-forward structure (chains, leader-follower networks,
+    isolated agents), whose nilpotent or defective spectra ARPACK cannot
+    resolve, to small exact eigensolves. A component up to QR_CUTOFF rows
+    goes through `spectral_radius` of its dense matrix; a larger one through
+    ARPACK on its block-sparse matrix, falling back to all eigenvalues of its
+    dense matrix when ARPACK fails (for instance on many eigenvalues of top
     modulus).
     """
-    if model.n_agents * model.n <= QR_CUTOFF:
-        rho = spectral_radius(build_global_matrix(model))
-        return rho, rho < 1.0
     rho = _kronecker_radius(model)
     if rho is not None:
+        return rho, rho < 1.0
+    if model.n_agents * model.n <= QR_CUTOFF:
+        rho = spectral_radius(build_global_matrix(model))
         return rho, rho < 1.0
     rho = 0.0
     for agents in _strong_components(model):

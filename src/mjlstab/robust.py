@@ -52,8 +52,8 @@ import numpy as np
 
 from .linalg import spectral_radius
 from .lp import LpProblem, lp_solve
-from .stability import _check_nominal, _cone_radius, alphas, betas, mss_matrix
-from .stability import scope_radius, second_moment_map
+from .stability import _check_nominal, alphas, betas, mss_matrix, scope_radius
+from .stability import second_moment_map
 from .switched import ModeFamily
 
 # The weighting V sums K = _SERIES_TERMS powers of L at c = rho (1 + _C_GAP).
@@ -200,9 +200,7 @@ def weighted_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> Bo
     """
     m, d = family.mode_count, family.state_dim
     nominal = _check_nominal(family.joint_P if nominal is None else nominal, m)
-    rho = _cone_radius(family, nominal)
-    if rho is None:
-        rho = scope_radius(family, nominal)
+    rho = scope_radius(family, nominal)
     # the floor keeps V well conditioned when L is nilpotent (rho = 0)
     c = (1.0 + _C_GAP) * max(rho, 1e-3)
     term = np.broadcast_to(np.eye(d), (m, d, d))

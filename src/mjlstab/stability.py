@@ -7,10 +7,11 @@ reduced test: run the same spectral test on every agent's neighborhood
 family and require all of them to pass. Symmetric agents can be grouped
 first so each distinct subsystem is only analyzed once. Scopes run serially.
 
-A scope of at most QR_CUTOFF rows is tested on its dense test matrix. A
-larger one is tested matrix free: only L is applied, as batched matmul, so
-the solver state is a few stacks of m d x d matrices (ARPACK_NCV + 2 of them
-when ARPACK takes over).
+Every scope is first tested matrix free, by the cone iteration on L (only L
+is applied, as batched matmul), so the solver state is a few stacks of
+m d x d matrices. When that does not settle, a scope of at most QR_CUTOFF
+rows falls back to the dense eigensolve of its test matrix and a larger one
+to ARPACK on L (ARPACK_NCV + 2 stacks).
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for
@@ -102,6 +103,7 @@ class ScopeResult:
     m: int
     dim: int
     verdict: str
+    solver: str  # "cone", "dense" or "arpack": the route of `scope_radius`
 
 
 @dataclass
@@ -128,6 +130,7 @@ class StabilityReport:
                     "verdict": s.verdict,
                     "m": s.m,
                     "dim": s.dim,
+                    "solver": s.solver,
                 }
                 for s in self.scopes
             ],
@@ -145,7 +148,7 @@ def _overall(scopes) -> str:
 
 
 def _scope_result(family: ModeFamily) -> ScopeResult:
-    rho = scope_radius(family)
+    rho, solver = _solve_scope(family)
     return ScopeResult(
         scope=family.label,
         rho=rho,
@@ -153,38 +156,47 @@ def _scope_result(family: ModeFamily) -> ScopeResult:
         m=family.mode_count,
         dim=family.mode_count * family.state_dim**2,
         verdict=verdict(rho),
+        solver=solver,
     )
 
 
 def scope_radius(family: ModeFamily, transition=None) -> float:
     """Spectral radius of the second-moment operator L of one scope.
 
-    Up to QR_CUTOFF rows (the same cutoff as `model.nominal_stability`) this
-    is the dense eigensolve of the test matrix. Above, it is matrix free:
-    `_cone_radius`, then ARPACK on L as a LinearOperator when that does not
-    settle (a periodic chain, say). Raises SizeLimitError when the solver
+    At every size this is first `_cone_radius`, matrix free. When that does
+    not settle (a periodic chain, say), a scope of at most QR_CUTOFF rows
+    (the same cutoff as `model.nominal_stability`) takes the dense
+    eigensolve of its test matrix, and a larger one ARPACK on L as a
+    LinearOperator. Above QR_CUTOFF, raises SizeLimitError when the solver
     state would exceed STATE_BYTE_CAP.
     """
+    return _solve_scope(family, transition)[0]
+
+
+def _solve_scope(family: ModeFamily, transition=None) -> tuple[float, str]:
+    """`scope_radius` and the solver that produced it: "cone", "dense" or
+    "arpack"."""
     m, d = family.mode_count, family.state_dim
     dim = m * d * d
-    if dim <= QR_CUTOFF:
-        return spectral_radius(mss_matrix(family, transition).matrix)
-    state = 8 * dim * (ARPACK_NCV + 2)
-    if state > STATE_BYTE_CAP:
-        raise SizeLimitError(
-            f"scope {family.label}: the spectral test would hold {state} bytes "
-            f"of solver state (cap {STATE_BYTE_CAP}); try --dedup or a sparser "
-            "neighborhood"
-        )
+    if dim > QR_CUTOFF:
+        state = 8 * dim * (ARPACK_NCV + 2)
+        if state > STATE_BYTE_CAP:
+            raise SizeLimitError(
+                f"scope {family.label}: the spectral test would hold {state} bytes "
+                f"of solver state (cap {STATE_BYTE_CAP}); try --dedup or a sparser "
+                "neighborhood"
+            )
     rho = _cone_radius(family, transition)
     if rho is not None:
-        return rho
+        return rho, "cone"
+    if dim <= QR_CUTOFF:
+        return spectral_radius(mss_matrix(family, transition).matrix), "dense"
     from scipy.sparse.linalg import LinearOperator
 
     def apply(v):
         return second_moment_map(family, v.reshape(m, d, d), transition).ravel()
 
-    return sparse_spectral_radius(LinearOperator((dim, dim), matvec=apply, dtype=float))
+    return sparse_spectral_radius(LinearOperator((dim, dim), matvec=apply, dtype=float)), "arpack"
 
 
 def _cone_radius(family: ModeFamily, transition=None) -> float | None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,30 @@ def test_manifest_model_digest_is_stable(capsys, tmp_path):
         digests.append(manifest["model_digest"])
         assert manifest["result_digest"] == hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests[0] == digests[1]
+
+
+def test_family_digest_is_a_fixed_byte_layout(capsys, tmp_path):
+    doc = {
+        "matrices": [[[0.5, 0.1], [0.0, 0.3]], [[0.2, 0.0], [0.1, 0.4]]],
+        "P": [[0.4, 0.6], [0.5, 0.5]],
+        "pi0": [1.0, 0.0],
+    }
+
+    def digest(doc):
+        out = tmp_path / "report.json"
+        run(capsys, "analyze", "--family", family_file(tmp_path, doc), "--out", str(out))
+        return json.loads((tmp_path / "report.json.manifest.json").read_text())["model_digest"]
+
+    first = digest(doc)
+    assert digest(doc) == first
+    # shape (m, d, d) as little-endian uint64, then matrices, P and pi0 as
+    # little-endian float64
+    values = np.concatenate([np.ravel(doc[k]) for k in ("matrices", "P", "pi0")])
+    layout = struct.pack("<3Q", 2, 2, 2) + struct.pack(f"<{values.size}d", *values)
+    assert first == hashlib.sha256(layout).hexdigest()
+    moved = json.loads(json.dumps(doc))
+    moved["matrices"][0][0][1] = float(np.nextafter(0.1, 1.0))
+    assert digest(moved) != first
 
 
 def test_thread_environment_variable_is_ignored(capsys, monkeypatch):

@@ -365,21 +365,6 @@ def test_pendulum_nominal_rho_matches_dense_eig(n_agents):
     assert abs(rho - _dense_rho(model)) <= 1e-9
 
 
-def test_small_nominal_goes_through_spectral_radius(monkeypatch):
-    import mjlstab.model as model_module
-
-    dims = []
-    real = model_module.spectral_radius
-
-    def counting(m):
-        dims.append(len(m))
-        return real(m)
-
-    monkeypatch.setattr(model_module, "spectral_radius", counting)
-    nominal_stability(build_pendulum_model(4))
-    assert dims == [8]
-
-
 def _rotation(radius, theta):
     return radius * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
 
@@ -421,12 +406,14 @@ def test_nominal_random_sparse_models_match_dense_eig(seed, degree):
     assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
 
 
-def symmetric_weighted_model(seed: int, n_agents: int, n: int, isolated: int) -> DncsModel:
+def symmetric_weighted_model(seed: int, n_agents: int, n: int, isolated: int,
+                             uniform: bool = False) -> DncsModel:
     """Seeded homogeneous model: one diagonal block C and couplings w_ij * K
     on random undirected pairs, w_ij = w_ji; `isolated` agents get no link.
     The weights are signed powers of two, so every block is an exact
     multiple of every other and the weights read back exactly whichever
-    block serves as K."""
+    block serves as K; with `uniform` they are drawn from [-0.3, 0.3] and
+    read back only to within a few ulps."""
     rng = np.random.default_rng(seed)
     c = rng.uniform(-0.5, 0.5, (n, n))
     k = rng.uniform(-0.5, 0.5, (n, n))
@@ -435,7 +422,8 @@ def symmetric_weighted_model(seed: int, n_agents: int, n: int, isolated: int) ->
     for _ in range(2 * n_agents):
         i, j = (int(a) for a in rng.integers(1, n_agents + 1, size=2))
         if i != j and i not in lonely and j not in lonely:
-            w = rng.choice([-1.0, 1.0]) * 2.0 ** -int(rng.integers(0, 4))
+            w = (rng.uniform(-0.3, 0.3) if uniform
+                 else rng.choice([-1.0, 1.0]) * 2.0 ** -int(rng.integers(0, 4)))
             blocks[(i, j)] = blocks[(j, i)] = w * k
     return static_model(n_agents, n, blocks)
 
@@ -446,7 +434,7 @@ def general_path_calls(monkeypatch):
     import mjlstab.model as model_module
 
     calls = []
-    for name in ("_strong_components", "sparse_spectral_radius"):
+    for name in ("_strong_components", "sparse_spectral_radius", "spectral_radius"):
         def spy(*args, _real=getattr(model_module, name), _name=name):
             calls.append(_name)
             return _real(*args)
@@ -457,6 +445,8 @@ def general_path_calls(monkeypatch):
 KRONECKER = {
     "weighted_n2": lambda: symmetric_weighted_model(0, 300, 2, isolated=10),
     "weighted_n3": lambda: symmetric_weighted_model(1, 300, 3, isolated=10),
+    "uniform_n2": lambda: symmetric_weighted_model(2, 300, 2, isolated=10, uniform=True),
+    "uniform_n3": lambda: symmetric_weighted_model(3, 300, 3, isolated=10, uniform=True),
     "pendulum": lambda: build_pendulum_model(300),
     "pendulum_uncoupled": lambda: build_pendulum_model(300, params=PendulumParams(coupling=0.0)),
 }
@@ -470,6 +460,35 @@ def test_homogeneous_nominal_takes_kronecker_path(name, general_path_calls):
     assert general_path_calls == []
     assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
     assert stable == (rho < 1.0)
+
+
+SMALL_HOMOGENEOUS = {
+    "pendulum": lambda: build_pendulum_model(4),
+    "single": lambda: static_model(1, 2, {(1, 1): _rotation(0.9, 0.3)}),
+    "pair": two_agent_model,
+    "disconnected": lambda: symmetric_weighted_model(4, 12, 2, isolated=3, uniform=True),
+    "uncoupled": lambda: build_pendulum_model(4, params=PendulumParams(coupling=0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_HOMOGENEOUS))
+def test_small_homogeneous_nominal_takes_closed_form(name, general_path_calls):
+    model = SMALL_HOMOGENEOUS[name]()
+    assert model.n_agents * model.n <= QR_CUTOFF
+    rho, stable = nominal_stability(model)
+    assert general_path_calls == []
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-12)
+    assert stable == (rho < 1.0)
+
+
+def test_small_heterogeneous_nominal_goes_through_spectral_radius(general_path_calls):
+    from mjlstab.model import _kronecker_radius
+
+    model = random_sparse_model(3, n_agents=4, n=2, degree=2.0)
+    assert _kronecker_radius(model) is None
+    rho, _ = nominal_stability(model)
+    assert general_path_calls == ["spectral_radius"]
+    assert rho == _dense_rho(model)
 
 
 def _with_block(model: DncsModel, key, block) -> DncsModel:
@@ -490,9 +509,25 @@ def _pendulum_coupling_not_multiple() -> DncsModel:
     return _with_block(pend, (8, 7), blk)
 
 
+def _weighted_coupling_beyond_tolerance() -> DncsModel:
+    """One coupling pair of a weighted model moved by twice the closed
+    form's tolerance, 8 eps |w_ij| max|K|, at an entry other than K's
+    largest (the entry its weight is read at)."""
+    model = symmetric_weighted_model(0, 300, 2, isolated=10)
+    off = [key for key in model.blocks if key[0] != key[1]]
+    k = model.blocks[off[0]]
+    at = np.unravel_index(np.argmax(np.abs(k)), k.shape)
+    i, j = off[-1]
+    blk = model.blocks[(i, j)].copy()
+    weight = blk[at] / k[at]
+    blk[1 - at[0], at[1]] += 8 * np.finfo(float).eps * abs(weight * k[at])
+    return static_model(model.n_agents, 2, {**model.blocks, (i, j): blk, (j, i): blk})
+
+
 GENERAL = {
     "diagonal_ulp": _pendulum_diagonal_ulp,
     "coupling_not_multiple": _pendulum_coupling_not_multiple,
+    "coupling_beyond_tolerance": _weighted_coupling_beyond_tolerance,
     # exactly one diagonal block and one K, but W is not symmetric
     "shift_ring": lambda: static_model(_N, 2, DEGENERATE["shift_ring"]),
     "leader_follower": lambda: static_model(_N, 2, DEGENERATE["leader_follower"]),

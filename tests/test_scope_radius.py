@@ -1,7 +1,8 @@
-"""The matrix-free spectral test of scopes above QR_CUTOFF rows: cone
-iteration on the second-moment operator, ARPACK when it does not settle,
-and the byte cap on solver state. Dense eig of the test matrix, ARPACK on
-the operator and the covariance recursion are the oracles."""
+"""The matrix-free spectral test of scopes: cone iteration on the
+second-moment operator at every size, then the dense eigensolve (up to
+QR_CUTOFF rows) or ARPACK (above) when it does not settle, and the byte cap
+on solver state. Dense eig of the test matrix, ARPACK on the operator and
+the covariance recursion are the oracles."""
 
 import json
 import math
@@ -16,6 +17,7 @@ from mjlstab.linalg import QR_CUTOFF, SizeLimitError, kron_power, sparse_spectra
 from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
 from mjlstab.stability import (
     _cone_radius,
+    _solve_scope,
     covariance_init,
     covariance_step,
     covariance_trace,
@@ -24,6 +26,7 @@ from mjlstab.stability import (
     mss_test_reduced,
     scope_radius,
     second_moment_map,
+    verdict,
 )
 from mjlstab.switched import ModeFamily, build_mode_family
 
@@ -55,6 +58,10 @@ def covariance_growth(fam, steps):
 
 def interior_family():
     return build_mode_family(build_pendulum_model(16), scope=2)
+
+
+def endpoint_family():
+    return build_mode_family(build_pendulum_model(16), scope=1)
 
 
 def ladder_model(seed):
@@ -119,20 +126,99 @@ def test_deterministic_chain_matches_dense_eig(chain):
          else kron_power([[0.0, 1.0], [1.0, 0.0]], 4))
     fam = ModeFamily.from_matrices(base.matrices, p)
     assert _cone_radius(fam) is None
-    rho = mss_test_family(fam).scopes[0].rho
-    assert rho == pytest.approx(dense_rho(fam), abs=1e-9)
+    scope = mss_test_family(fam).scopes[0]
+    assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-9)
+    assert scope.solver == "arpack"
+
+
+# ---------------------------------------------------------------------------
+# Solver order: the cone iteration first at every size
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """("cone", result) per `_cone_radius` call and ("mss_matrix",) per
+    dense test matrix built, in call order."""
+    calls = []
+    real_cone, real_mss = stability._cone_radius, stability.mss_matrix
+
+    def cone(*args):
+        rho = real_cone(*args)
+        calls.append(("cone", rho))
+        return rho
+
+    def mss(*args):
+        calls.append(("mss_matrix",))
+        return real_mss(*args)
+
+    monkeypatch.setattr(stability, "_cone_radius", cone)
+    monkeypatch.setattr(stability, "mss_matrix", mss)
+    return calls
+
+
+def test_small_scopes_take_the_cone_iteration(solver_calls):
+    fam = endpoint_family()
+    assert fam.mode_count * fam.state_dim ** 2 == 256
+    scope = mss_test_family(fam).scopes[0]
+    assert solver_calls == [("cone", scope.rho)]
+    assert scope.solver == "cone"
+    assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-9)
+
+
+def test_small_periodic_scope_falls_back_to_dense_eig(solver_calls):
+    # the cyclic chain keeps the cone iteration's growth oscillating
+    base = endpoint_family()
+    fam = ModeFamily.from_matrices(base.matrices, np.roll(np.eye(base.mode_count), 1, axis=1))
+    assert fam.mode_count * fam.state_dim ** 2 <= QR_CUTOFF
+    scope = mss_test_family(fam).scopes[0]
+    assert solver_calls == [("cone", None), ("mss_matrix",)]
+    assert scope.solver == "dense"
+    assert scope.rho == dense_rho(fam)
+
+
+def test_random_small_families_match_dense_eig():
+    # every shape from 4 to 512 rows: m from 1 to 128 modes, d from 1 to 3
+    rng = np.random.default_rng(5)
+    shapes = [(4, 1), (1, 2), (1, 3), (128, 1), (128, 2), (56, 3)]
+    shapes += [(int(rng.integers(max(1, 4 // d ** 2), min(128, 512 // d ** 2) + 1)), d)
+               for d in (1, 2, 3) for _ in range(4)]
+    solvers = set()
+    for m, d in shapes:
+        assert 4 <= m * d * d <= QR_CUTOFF
+        w = rng.standard_normal((m, d, d)) * rng.uniform(0.2, 1.0) / np.sqrt(d)
+        fam = ModeFamily.from_matrices(w, rng.dirichlet(np.ones(m), size=m))
+        rho, solver = _solve_scope(fam)
+        solvers.add(solver)
+        assert rho == pytest.approx(dense_rho(fam), abs=1e-9)
+    assert solvers == {"cone"}
+
+
+def test_nilpotent_family_has_radius_zero():
+    # products of d strictly upper triangular modes vanish, so L^d = 0
+    rng = np.random.default_rng(6)
+    fam = ModeFamily.from_matrices(np.triu(rng.standard_normal((8, 3, 3)), 1),
+                                   rng.dirichlet(np.ones(8), size=8))
+    assert scope_radius(fam) == 0.0
+    assert dense_rho(fam) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("target", [1.0 - 1e-7, 1.0 + 1e-7])
+def test_families_near_one_keep_the_dense_verdict(target):
+    rng = np.random.default_rng(8)
+    for m, d in [(3, 2), (40, 2), (128, 2), (50, 3)]:
+        fam = contractive_family(rng, m, d)
+        # W -> c W scales L by c^2
+        scaled = ModeFamily.from_matrices(
+            fam.matrices * np.sqrt(target / dense_rho(fam)), fam.joint_P)
+        want = verdict(dense_rho(scaled))
+        assert want == ("stable" if target < 1.0 else "unstable")
+        assert mss_test_family(scaled).scopes[0].verdict == want
 
 
 # ---------------------------------------------------------------------------
 # Accuracy above the dense cutoff
 # ---------------------------------------------------------------------------
-
-
-def test_small_scopes_keep_the_dense_eigensolve():
-    fam = build_mode_family(build_pendulum_model(16), scope=1)
-    dim = fam.mode_count * fam.state_dim ** 2
-    assert dim <= QR_CUTOFF
-    assert mss_test_family(fam).scopes[0].rho == dense_rho(fam)
 
 
 def test_pendulum_interior_scope_matches_dense_eig():

@@ -99,7 +99,8 @@ def test_verdict_boundaries():
 def test_overall_precedence():
     def scope(v):
         return ScopeResult(
-            scope="agent 1", rho=1.0, stable=False, m=1, dim=1, verdict=v
+            scope="agent 1", rho=1.0, stable=False, m=1, dim=1, verdict=v,
+            solver="cone",
         )
 
     assert _overall([scope("stable"), scope("stable")]) == "stable"
@@ -212,7 +213,8 @@ def test_reduced_report_shape():
     d = report.to_dict()
     assert set(d) == {"overall", "scopes", "classes"}
     assert d["classes"] is None
-    assert set(d["scopes"][0]) == {"scope", "rho", "stable", "verdict", "m", "dim"}
+    assert set(d["scopes"][0]) == {"scope", "rho", "stable", "verdict", "m", "dim", "solver"}
+    assert [s["solver"] for s in d["scopes"]] == ["cone"] * 4
 
 
 # ---------------------------------------------------------------------------
