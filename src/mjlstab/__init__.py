@@ -10,7 +10,7 @@ simulation.
 """
 
 from .linalg import SizeLimitError, inf_norm, kron, kron_power, spectral_radius
-from .lp import LpProblem, LpResult, lp_solve
+from .lp import lp_solve
 from .model import (
     DelayChain,
     DncsModel,
@@ -81,8 +81,6 @@ __all__ = [
     "DelayConfig",
     "DncsModel",
     "EnumerationCapError",
-    "LpProblem",
-    "LpResult",
     "ModeFamily",
     "ModelError",
     "PendulumParams",

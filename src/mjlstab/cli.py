@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .linalg import SizeLimitError
 from .model import (
-    DncsModel,
     ModelError,
     PendulumParams,
     build_pendulum_model,
@@ -38,7 +37,6 @@ from .robust import compute_bounds
 from .sim import (
     SimConfig,
     estimate_ms,
-    export_csv,
     mean_square_csv,
     simulate_trajectory,
     trajectory_csv,

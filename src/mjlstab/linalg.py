@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Refuse to materialize Kronecker products beyond this many entries.
-KRON_ENTRY_LIMIT = 100_000_000
+# The one memory cap of the analysis: no dense product, test matrix, mode
+# family or solver state beyond this many bytes (1e8 float64s). Every check
+# reads it at call time.
+BYTE_CAP = 800_000_000
 
 # Largest dimension at which the scope test's fallback (when the cone
 # iteration does not settle) and the nominal check of a network that is not
@@ -43,7 +45,14 @@ _ARPACK_TOL = 0.0
 
 
 class SizeLimitError(ValueError):
-    """A requested dense product would exceed the configured entry limit."""
+    """An array the analysis needs would exceed BYTE_CAP."""
+
+
+def check_bytes(nbytes: int, what: str, hint: str = "") -> None:
+    """Raise SizeLimitError naming `what`, its bytes and the cap when
+    `nbytes` exceeds BYTE_CAP; `hint` is appended to the message."""
+    if nbytes > BYTE_CAP:
+        raise SizeLimitError(f"{what} would hold {nbytes} bytes (cap {BYTE_CAP}){hint}")
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -55,29 +64,25 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b, limit: int = KRON_ENTRY_LIMIT) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Kronecker product of two dense matrices.
 
-    Raises SizeLimitError if the result would have more than `limit` entries.
+    Raises SizeLimitError if the result would exceed BYTE_CAP.
     """
     a = _as_matrix(a)
     b = _as_matrix(b)
-    entries = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if entries > limit:
-        raise SizeLimitError(
-            f"kron result would have {entries} entries (limit {limit})"
-        )
+    check_bytes(8 * a.size * b.size, "kron result")
     return np.kron(a, b)
 
 
-def kron_power(p, exponent: int, limit: int = KRON_ENTRY_LIMIT) -> np.ndarray:
+def kron_power(p, exponent: int) -> np.ndarray:
     """`exponent`-fold Kronecker power; exponent 0 gives the 1x1 identity."""
     p = _as_matrix(p)
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     out = np.ones((1, 1))
     for _ in range(exponent):
-        out = kron(out, p, limit=limit)
+        out = kron(out, p)
     return out
 
 

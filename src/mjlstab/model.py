@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .linalg import QR_CUTOFF, sparse_spectral_radius, spectral_radius
 
 _STOCH_TOL = 1e-12
@@ -270,11 +271,9 @@ def _kronecker_radius(model: DncsModel) -> float | None:
     max|K| measured on seeded uniform weights, n up to 4). That difference
     is of the order of rounding the network matrix itself, below the
     backward error of any eigensolver. The dense N x N matrix W and the copy
-    `eigvalsh` makes of it count against `stability.STATE_BYTE_CAP`.
+    `eigvalsh` makes of it count against `linalg.BYTE_CAP`.
     """
-    from .stability import STATE_BYTE_CAP
-
-    if 2 * model.n_agents ** 2 * 8 > STATE_BYTE_CAP:
+    if 2 * model.n_agents ** 2 * 8 > linalg.BYTE_CAP:
         return None
     keys = np.array(list(model.blocks)) - 1
     vals = np.stack(list(model.blocks.values()))

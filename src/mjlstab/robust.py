@@ -7,8 +7,9 @@ column and alpha_r how much a unit of probability moved into mode r uses of
 it. The two-step procedure turns this into per-row bounds eps_r: step 1
 pushes each column's perturbation as far up and as far down as the margin and
 the box constraints allow (the columns decouple, and each is a fractional
-knapsack with one row, solved in closed form by `lp.lp_solve`), step 2 takes
-the per-row worst case over columns and directions.
+knapsack with one row; all of them share the objective and the row, so
+`lp.lp_solve` solves every column in one closed-form pass per direction),
+step 2 takes the per-row worst case over columns and directions.
 
 Two certificates supply alpha and beta:
 
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import spectral_radius
-from .lp import LpProblem, lp_solve
+from .lp import lp_solve
 from .stability import _check_nominal, alphas, betas, mss_matrix, scope_radius
 from .stability import second_moment_map
 from .switched import ModeFamily
@@ -81,7 +82,8 @@ def solve_bound_lp(
     For each column s, maximize (direction="upper") or minimize ("lower")
     sum_r z_r subject to sum_r alpha_r z_r <= beta_s - margin and the box
     -nominal[r, s] <= z_r <= 1 - nominal[r, s]. Columns are independent;
-    the result packs the per-column optimizers as columns of an m x m array.
+    one `lp_solve` call solves them all and returns the per-column
+    optimizers as the columns of an m x m array.
     alpha and beta default to the infinity-norm certificate; weighted_bounds
     passes its own.
 
@@ -102,23 +104,8 @@ def solve_bound_lp(
             f"(margin {margin:.6g})"
         )
 
-    columns = []
-    for s in range(m):
-        problem = LpProblem(
-            c=np.ones(m),
-            a_ub=alpha[None, :],
-            b_ub=np.array([beta[s] - margin]),
-            lb=-nominal[:, s],
-            ub=1.0 - nominal[:, s],
-            sense="max" if direction == "upper" else "min",
-        )
-        result = lp_solve(problem)
-        if result.status != "optimal":
-            raise ArithmeticError(
-                f"bound LP for column {s} returned {result.status}"
-            )
-        columns.append(result.x)
-    return np.column_stack(columns)
+    sign = 1.0 if direction == "upper" else -1.0
+    return lp_solve(np.full(m, sign), alpha, beta - margin, -nominal, 1.0 - nominal)
 
 
 def feasible_bound(z_lb, z_ub) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ARPACK_NCV, QR_CUTOFF, SizeLimitError, inf_norm, spectral_radius
+from .linalg import ARPACK_NCV, QR_CUTOFF, check_bytes, inf_norm, spectral_radius
 from .linalg import sparse_spectral_radius
 from .model import DncsModel, neighborhood
 from .switched import MODE_CAP, ModeFamily, build_mode_family, enumerate_links
@@ -42,10 +42,6 @@ _CANONICAL_LIMIT = 8
 # Step budget and relative error target of the cone iteration (`_cone_radius`).
 _CONE_MAX_ITER = 500
 _CONE_TOL = 1e-13
-
-# A matrix-free scope holds m*d^2 float64s times ARPACK's Krylov size plus
-# two; refuse beyond this many bytes (the old dense cap of 1e8 entries).
-STATE_BYTE_CAP = 800_000_000
 
 
 def verdict(rho: float) -> str:
@@ -79,10 +75,7 @@ def mss_matrix(family: ModeFamily, transition=None) -> MssTestMatrix:
         raise ValueError(f"transition: expected ({m}, {m}), got {p.shape}")
     d = family.state_dim
     dim = m * d * d
-    if dim * dim > 100_000_000:
-        raise SizeLimitError(
-            f"test matrix would be {dim}x{dim} ({dim * dim} entries)"
-        )
+    check_bytes(8 * dim * dim, f"test matrix {dim}x{dim}")
     out = np.empty((dim, dim))
     d2 = d * d
     for r in range(m):
@@ -168,7 +161,8 @@ def scope_radius(family: ModeFamily, transition=None) -> float:
     (the same cutoff as `model.nominal_stability`) takes the dense
     eigensolve of its test matrix, and a larger one ARPACK on L as a
     LinearOperator. Above QR_CUTOFF, raises SizeLimitError when the solver
-    state would exceed STATE_BYTE_CAP.
+    state, m*d^2 float64s times ARPACK's Krylov size plus two, would exceed
+    `linalg.BYTE_CAP`.
     """
     return _solve_scope(family, transition)[0]
 
@@ -179,13 +173,9 @@ def _solve_scope(family: ModeFamily, transition=None) -> tuple[float, str]:
     m, d = family.mode_count, family.state_dim
     dim = m * d * d
     if dim > QR_CUTOFF:
-        state = 8 * dim * (ARPACK_NCV + 2)
-        if state > STATE_BYTE_CAP:
-            raise SizeLimitError(
-                f"scope {family.label}: the spectral test would hold {state} bytes "
-                f"of solver state (cap {STATE_BYTE_CAP}); try --dedup or a sparser "
-                "neighborhood"
-            )
+        check_bytes(8 * dim * (ARPACK_NCV + 2),
+                    f"scope {family.label}: the spectral test's solver state",
+                    "; try --dedup or a sparser neighborhood")
     rho = _cone_radius(family, transition)
     if rho is not None:
         return rho, "cone"

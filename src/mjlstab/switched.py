@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SizeLimitError, kron_power
+from .linalg import check_bytes, kron_power
 from .model import DncsModel, neighborhood, senders
 
 # Hard ceiling on how many modes may be enumerated explicitly.
@@ -248,10 +248,7 @@ def build_mode_family(
         )
     agents = _scope_agents(model, scope)
     dim = len(agents) * model.n * q
-    if count * dim * dim > 100_000_000:
-        raise SizeLimitError(
-            f"mode family would hold {count * dim * dim} matrix entries"
-        )
+    check_bytes(8 * count * dim * dim, f"mode family of {count} {dim}x{dim} matrices")
     mats = np.empty((count, dim, dim))
     digits = [0] * len(links)
     for idx in range(count):

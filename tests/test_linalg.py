@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mjlstab import linalg
 from mjlstab.linalg import (
-    KRON_ENTRY_LIMIT,
+    BYTE_CAP,
     QR_CUTOFF,
     SizeLimitError,
     inf_norm,
@@ -19,10 +20,11 @@ def test_kron_matches_numpy():
     assert np.array_equal(kron(a, b), np.kron(a, b))
 
 
-def test_kron_rejects_oversized_result():
+def test_kron_rejects_oversized_result(monkeypatch):
     a = np.ones((100, 100))
+    monkeypatch.setattr(linalg, "BYTE_CAP", 80_000)
     with pytest.raises(SizeLimitError):
-        kron(a, a, limit=10_000)
+        kron(a, a)
 
 
 def test_kron_rejects_non_finite():
@@ -39,10 +41,11 @@ def test_kron_power_basics():
         kron_power(p, -1)
 
 
-def test_kron_power_respects_limit():
+def test_kron_power_respects_limit(monkeypatch):
     p = np.ones((10, 10))
+    monkeypatch.setattr(linalg, "BYTE_CAP", 8_000_000)
     with pytest.raises(SizeLimitError):
-        kron_power(p, 5, limit=1_000_000)
+        kron_power(p, 5)
 
 
 def test_inf_norm_matrix_is_max_abs_row_sum():
@@ -121,4 +124,4 @@ def test_spectral_radius_above_qr_cutoff_nilpotent_is_zero():
 
 
 def test_kron_entry_limit_default_is_reasonable():
-    assert KRON_ENTRY_LIMIT == 100_000_000
+    assert BYTE_CAP == 800_000_000

@@ -3,11 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from mjlstab.lp import LpProblem, LpResult, lp_solve
+from mjlstab.lp import lp_solve
 
 
-def solve(c, a_ub, b_ub, lb, ub, sense="max"):
-    return lp_solve(LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, lb=lb, ub=ub, sense=sense))
+def solve(c, a, b, lb, ub):
+    """One column: maximize c^T x s.t. a x <= b, lb <= x <= ub."""
+    lb = np.asarray(lb, dtype=float)[:, None]
+    ub = np.asarray(ub, dtype=float)[:, None]
+    return lp_solve(np.asarray(c, dtype=float), np.asarray(a, dtype=float),
+                    np.atleast_1d(np.asarray(b, dtype=float)), lb, ub)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -16,50 +20,49 @@ def solve(c, a_ub, b_ub, lb, ub, sense="max"):
 
 
 def test_basic_min_prefers_cheap_variable():
-    res = solve([2.0, 1.0], [[-1.0, -1.0]], [-3.0], [0.0, 0.0], [5.0, 5.0], sense="min")
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(3.0, abs=1e-9)
-    assert np.allclose(res.x, [0.0, 3.0], atol=1e-8)
+    # min 2 x0 + x1 s.t. x0 + x1 >= 3, as max -2 x0 - x1 s.t. -x0 - x1 <= -3
+    x = solve([-2.0, -1.0], [-1.0, -1.0], -3.0, [0.0, 0.0], [5.0, 5.0])
+    assert np.array([2.0, 1.0]) @ x == pytest.approx(3.0, abs=1e-9)
+    assert np.allclose(x, [0.0, 3.0], atol=1e-8)
 
 
 def test_box_only_problem():
-    res = solve([1.0, 2.0], None, None, [-1.0, -1.0], [2.0, 3.0])
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(8.0, abs=1e-9)
-    assert np.allclose(res.x, [2.0, 3.0], atol=1e-9)
+    # a zero row leaves only the box: every variable ends at its better end
+    x = solve([1.0, 2.0], [0.0, 0.0], 0.0, [-1.0, -1.0], [2.0, 3.0])
+    assert np.array_equal(x, [2.0, 3.0])
 
 
 def test_negative_rhs_goes_through_phase_one():
     # x >= 1 written as -x <= -1: the start x = 5 has the least load, and the
     # improving move down stops where the budget runs out
-    res = solve([-1.0], [[-1.0]], [-1.0], [0.0], [5.0])
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-1.0, abs=1e-9)
-    assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+    x = solve([-1.0], [-1.0], -1.0, [0.0], [5.0])
+    assert x[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_infeasible_detected():
-    res = solve([1.0], [[1.0]], [-1.0], [0.0], [5.0])
-    assert res.status == "infeasible"
-    assert res.x is None and res.objective is None
+    with pytest.raises(ArithmeticError, match="column 0"):
+        solve([1.0], [1.0], -1.0, [0.0], [5.0])
 
 
 def test_ties_fill_in_index_order():
-    res = solve([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.5], [0.0] * 3, [1.0] * 3)
-    assert res.status == "optimal"
-    assert np.array_equal(res.x, [1.0, 0.5, 0.0])
+    x = solve([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.5, [0.0] * 3, [1.0] * 3)
+    assert np.array_equal(x, [1.0, 0.5, 0.0])
 
 
 def test_min_equals_negated_max():
+    # min c.x over (a, b, [lo, hi]) is -max c.y over (-a, b, [-hi, -lo]) at
+    # y = -x: the reflection swaps the start ends and the signs of the moves
     rng = np.random.default_rng(5)
     for _ in range(50):
         c, a, b, lo, hi = random_problem(rng)
-        mn = solve(c, a, b, lo, hi, sense="min")
-        mx = solve(-c, a, b, lo, hi, sense="max")
-        assert mn.status == mx.status
-        if mn.status == "optimal":
-            assert mn.objective == pytest.approx(-mx.objective, abs=1e-9)
-            assert np.array_equal(mn.x, mx.x)
+        try:
+            mn = solve(-c, a, b, lo, hi)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                solve(c, -a, b, -hi, -lo)
+            continue
+        mx = solve(c, -a, b, -hi, -lo)
+        assert c @ mn == pytest.approx(-(c @ mx), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +96,7 @@ def random_problem(rng):
     """One row, coefficients of both signs and some exact zeros."""
     n = int(rng.integers(2, 5))
     c = rng.uniform(-1, 1, size=n) * (rng.random(n) > 0.1)
-    a = rng.uniform(-1, 1, size=(1, n)) * (rng.random((1, n)) > 0.1)
+    a = rng.uniform(-1, 1, size=n) * (rng.random(n) > 0.1)
     b = rng.uniform(-1.5, 1.0, size=1)
     lo = rng.uniform(-2.0, 0.0, size=n)
     hi = lo + rng.uniform(0.5, 3.0, size=n)
@@ -106,17 +109,17 @@ def test_matches_vertex_enumeration_on_random_problems():
     infeasible = 0
     for _ in range(200):
         c, a, b, lo, hi = random_problem(rng)
-        res = solve(c, a, b, lo, hi)
-        oracle, _ = brute_force(c, a, b, lo, hi)
+        oracle, _ = brute_force(c, a[None, :], b, lo, hi)
         if oracle is None:
-            assert res.status == "infeasible"
+            with pytest.raises(ArithmeticError):
+                solve(c, a, b, lo, hi)
             infeasible += 1
             continue
-        assert res.status == "optimal"
+        x = solve(c, a, b, lo, hi)
         scale = 1.0 + abs(oracle)
-        assert abs(res.objective - oracle) <= 1e-7 * scale
-        assert np.all(a @ res.x <= b + 1e-7)
-        assert np.all(res.x >= lo - 1e-9) and np.all(res.x <= hi + 1e-9)
+        assert abs(c @ x - oracle) <= 1e-7 * scale
+        assert a @ x <= b[0] + 1e-7
+        assert np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9)
         solved += 1
     assert solved >= 100  # the generator must mostly produce feasible cases
     assert infeasible >= 10
@@ -127,42 +130,52 @@ def test_matches_vertex_enumeration_minimization():
     rng = np.random.default_rng(42)
     for _ in range(200):
         c, a, b, lo, hi = random_problem(rng)
-        res = solve(c, a, b, lo, hi, sense="min")
-        oracle, _ = brute_force(c, a, b, lo, hi, sense="min")
+        oracle, _ = brute_force(c, a[None, :], b, lo, hi, sense="min")
         if oracle is None:
-            assert res.status == "infeasible"
+            with pytest.raises(ArithmeticError):
+                solve(-c, a, b, lo, hi)
             continue
-        assert res.status == "optimal"
-        assert abs(res.objective - oracle) <= 1e-7 * (1.0 + abs(oracle))
-        assert np.all(a @ res.x <= b + 1e-7)
-        assert np.all(res.x >= lo) and np.all(res.x <= hi)
+        x = solve(-c, a, b, lo, hi)
+        assert abs(c @ x - oracle) <= 1e-7 * (1.0 + abs(oracle))
+        assert a @ x <= b[0] + 1e-7
+        assert np.all(x >= lo) and np.all(x <= hi)
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Many columns in one call
 # ---------------------------------------------------------------------------
 
 
-def test_problem_validation_errors():
-    with pytest.raises(ValueError, match="columns"):
-        LpProblem(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    with pytest.raises(ValueError, match="b_ub length"):
-        LpProblem(c=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0], lb=[0.0], ub=[1.0])
-    with pytest.raises(ValueError, match="one entry per variable"):
-        LpProblem(c=[1.0, 2.0], a_ub=None, b_ub=None, lb=[0.0], ub=[1.0, 1.0])
-    with pytest.raises(ValueError, match="non-finite"):
-        LpProblem(c=[np.inf], a_ub=None, b_ub=None, lb=[0.0], ub=[1.0])
-    with pytest.raises(ValueError, match="lb > ub"):
-        LpProblem(c=[1.0], a_ub=None, b_ub=None, lb=[2.0], ub=[1.0])
-    with pytest.raises(ValueError, match="sense"):
-        LpProblem(c=[1.0], a_ub=None, b_ub=None, lb=[0.0], ub=[1.0], sense="maximize")
+def test_columns_match_vertex_enumeration_per_column():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(30):
+        c, a, _, _, _ = random_problem(rng)
+        n, k = c.shape[0], 6
+        b = rng.uniform(-1.5, 1.0, size=k)
+        lo = rng.uniform(-2.0, 0.0, size=(n, k))
+        hi = lo + rng.uniform(0.5, 3.0, size=(n, k))
+        oracles = [brute_force(c, a[None, :], b[j:j + 1], lo[:, j], hi[:, j])[0]
+                   for j in range(k)]
+        keep = [j for j in range(k) if oracles[j] is not None]
+        x = lp_solve(c, a, b[keep], lo[:, keep], hi[:, keep])
+        assert x.shape == (n, len(keep))
+        for col, j in enumerate(keep):
+            assert abs(c @ x[:, col] - oracles[j]) <= 1e-7 * (1.0 + abs(oracles[j]))
+            assert a @ x[:, col] <= b[j] + 1e-7
+            assert np.all(x[:, col] >= lo[:, j]) and np.all(x[:, col] <= hi[:, j])
+            checked += 1
+    assert checked >= 100
 
 
-def test_two_row_problem_rejected():
-    with pytest.raises(ValueError, match="at most one"):
-        LpProblem(c=[1.0], a_ub=[[1.0], [2.0]], b_ub=[1.0, 1.0], lb=[0.0], ub=[1.0])
-
-
-def test_result_defaults():
-    res = LpResult(status="infeasible")
-    assert res.x is None and res.objective is None
+def test_infeasible_column_is_named():
+    c = np.ones(2)
+    a = np.array([1.0, 1.0])
+    lb = np.zeros((2, 4))
+    ub = np.ones((2, 4))
+    # columns 2 and 3 need a x <= -1 from a box whose least load is 0
+    b = np.array([1.0, 0.5, -1.0, -2.0])
+    with pytest.raises(ArithmeticError, match="column 2 "):
+        lp_solve(c, a, b, lb, ub)
+    x = lp_solve(c, a, b[:2], lb[:, :2], ub[:, :2])
+    assert np.array_equal(x, [[1.0, 0.5], [0.0, 0.0]])

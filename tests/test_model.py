@@ -543,16 +543,16 @@ def test_inhomogeneous_nominal_takes_general_path(name, general_path_calls):
 
 
 def test_kronecker_path_respects_state_byte_cap(monkeypatch, general_path_calls):
-    from mjlstab import stability
+    from mjlstab import linalg
 
     model = build_pendulum_model(300)
     need = 2 * 300 ** 2 * 8  # W and the copy eigvalsh makes of it
-    monkeypatch.setattr(stability, "STATE_BYTE_CAP", need - 1)
+    monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
     rho, _ = nominal_stability(model)
     assert general_path_calls == ["_strong_components", "sparse_spectral_radius"]
     assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
     general_path_calls.clear()
-    monkeypatch.setattr(stability, "STATE_BYTE_CAP", need)
+    monkeypatch.setattr(linalg, "BYTE_CAP", need)
     nominal_stability(model)
     assert general_path_calls == []
 

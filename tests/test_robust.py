@@ -162,6 +162,34 @@ def test_compute_bounds_evaluates_alphas_once(monkeypatch):
         assert np.array_equal(res.eps, feasible_bound(z_lb, z_ub))
 
 
+def test_solve_bound_lp_solves_all_columns_in_one_call(monkeypatch):
+    from mjlstab import robust
+
+    calls = []
+    real = robust.lp_solve
+    monkeypatch.setattr(robust, "lp_solve", lambda *args: calls.append(args) or real(*args))
+    fam = random_stable_families(seed=9, count=1)[0]
+    fam.matrices *= 0.3  # small enough for the infinity-norm margin
+    z = solve_bound_lp(fam)
+    assert len(calls) == 1
+    assert z.shape == (fam.mode_count, fam.mode_count)
+    calls.clear()
+    assert compute_bounds(fam).feasible
+    assert len(calls) == 2
+
+
+def test_lower_direction_is_minus_nominal():
+    # with alpha >= 0 no downward move loosens the row, so every column
+    # starts and stays at its lower box end, -nominal
+    fam = random_stable_families(seed=9, count=1)[0]
+    fam.matrices *= 0.3
+    for family, bound in ((scalar_family(), compute_bounds), (fam, compute_bounds),
+                          (fam, weighted_bounds), (endpoint_family(), weighted_bounds)):
+        res = bound(family)
+        assert res.feasible and np.all(res.alpha >= 0)
+        assert np.array_equal(res.z_lb, -family.joint_P)
+
+
 def test_feasible_bound_rowwise_minimum():
     z_lb = np.array([[-0.4, -0.6], [-0.5, -0.5]])
     z_ub = np.array([[0.6, 0.4], [-0.02, -0.02]])

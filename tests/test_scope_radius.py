@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
-from mjlstab import stability
+from mjlstab import linalg, stability
 from mjlstab.cli import main
 from mjlstab.linalg import QR_CUTOFF, SizeLimitError, kron_power, sparse_spectral_radius
 from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
@@ -284,15 +284,17 @@ def test_wide_scopes_analyze_with_dedup(make, capsys, tmp_path):
 def test_solver_state_byte_cap(monkeypatch):
     fam = interior_family()
     state = 8 * 2304 * 42
-    monkeypatch.setattr(stability, "STATE_BYTE_CAP", state - 1)
+    monkeypatch.setattr(linalg, "BYTE_CAP", state - 1)
     with pytest.raises(SizeLimitError) as err:
         mss_test_family(fam)
     message = str(err.value)
     assert f"{state} bytes" in message
     assert f"cap {state - 1}" in message
     assert "--dedup" in message
-    monkeypatch.setattr(stability, "STATE_BYTE_CAP", state)
+    monkeypatch.setattr(linalg, "BYTE_CAP", state)
     assert mss_test_family(fam).overall == "stable"
-    # scopes on the dense path never reach the cap
-    monkeypatch.setattr(stability, "STATE_BYTE_CAP", 0)
-    assert mss_test_family(build_mode_family(build_pendulum_model(16), scope=1)).overall == "stable"
+    # scopes on the dense path never reach the cap (the family build, which
+    # the same cap also bounds, comes first)
+    small = build_mode_family(build_pendulum_model(16), scope=1)
+    monkeypatch.setattr(linalg, "BYTE_CAP", 0)
+    assert mss_test_family(small).overall == "stable"
