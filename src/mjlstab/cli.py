@@ -29,7 +29,6 @@ from .model import (
     ModelError,
     PendulumParams,
     build_pendulum_model,
-    dump_model,
     load_model,
     nominal_stability,
 )
@@ -128,8 +127,8 @@ def _load_family(path: str) -> ModeFamily:
 def _model_source(args, allow_family: bool):
     """Resolve exactly one of --model / --pendulum / --family.
 
-    Returns (model, family, digest): family is None for DNCS sources, model
-    is None for raw families.
+    Returns (model, family): family is None for DNCS sources, model is None
+    for raw families.
     """
     chosen = [
         name
@@ -147,28 +146,42 @@ def _model_source(args, allow_family: bool):
         raise _UsageError("--param only applies to --pendulum")
 
     if args.model is not None:
-        model = load_model(_read_file(args.model))
-        return model, None, _sha256(dump_model(model).encode())
+        return load_model(_read_file(args.model)), None
     if args.pendulum is not None:
-        model = build_pendulum_model(args.pendulum, params=_parse_params(args.param))
-        return model, None, _sha256(dump_model(model).encode())
-    family = _load_family(args.family)
-    return None, family, _family_digest(family)
+        return build_pendulum_model(args.pendulum, params=_parse_params(args.param)), None
+    return None, _load_family(args.family)
 
 
-def _family_digest(family: ModeFamily) -> str:
-    """SHA-256 of a raw family in a fixed byte layout: the shape (m, d, d)
-    of `matrices` as three little-endian uint64, then `matrices`, `P` and
-    `pi0`, each as C-order little-endian float64."""
-    digest = hashlib.sha256(np.array(family.matrices.shape, dtype="<u8").tobytes())
-    for a in (family.matrices, family.joint_P, family.joint_pi0):
+def _source_digest(source) -> str:
+    """Manifest digest of a model or raw family, over a fixed byte layout.
+
+    A family hashes the shape (m, d, d) of `matrices`, then `matrices`, `P`
+    and `pi0`. A model hashes N, n, tau_d, the block count and the (i, j)
+    of every block in sorted order, then those blocks, the chain's `P` and
+    `pi0`.
+    """
+    if isinstance(source, ModeFamily):
+        return _layout_digest(source.matrices.shape,
+                              (source.matrices, source.joint_P, source.joint_pi0))
+    keys = sorted(source.blocks)
+    header = [source.n_agents, source.n, source.tau_d, len(keys)]
+    return _layout_digest(header + [k for key in keys for k in key],
+                          ([source.blocks[k] for k in keys], source.chain.P, source.chain.pi0))
+
+
+def _layout_digest(counts, arrays) -> str:
+    """SHA-256 of `counts` as little-endian uint64, then each array as
+    C-order little-endian float64."""
+    digest = hashlib.sha256(np.array(counts, dtype="<u8").tobytes())
+    for a in arrays:
         digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     return digest.hexdigest()
 
 
-def _emit(doc: dict, args, command: str, digest: str, started: float, payload: str | None = None) -> None:
+def _emit(doc: dict, args, command: str, source, started: float, payload: str | None = None) -> None:
     """Print the result JSON; with --out, also write the artifact (payload
-    text if given, else the same JSON) and its manifest."""
+    text if given, else the same JSON) and its manifest, whose model digest
+    is that of `source`, the model or family the command ran on."""
     text = json.dumps(doc, indent=2)
     print(text)
     out = getattr(args, "out", None)
@@ -181,7 +194,7 @@ def _emit(doc: dict, args, command: str, digest: str, started: float, payload: s
         command=command,
         arguments=[str(a) for a in (args._argv or [])],
         version=__version__,
-        model_digest=digest,
+        model_digest=_source_digest(source),
         result_digest=_sha256(artifact.encode()),
         timings={"total_s": round(time.monotonic() - started, 6)},
     )
@@ -197,7 +210,7 @@ def _count_json(count):
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
-    model, family, digest = _model_source(args, allow_family=True)
+    model, family = _model_source(args, allow_family=True)
     if args.full and args.reduced:
         raise _UsageError("--full and --reduced are mutually exclusive")
     doc: dict = {"command": "analyze"}
@@ -212,13 +225,13 @@ def cmd_analyze(args) -> int:
         else:
             report = mss_test_reduced(model, dedup=args.dedup)
     doc.update(report.to_dict())
-    _emit(doc, args, "analyze", digest, started)
+    _emit(doc, args, "analyze", model or family, started)
     return _EXIT_BY_VERDICT[report.overall]
 
 
 def cmd_robust(args) -> int:
     started = time.monotonic()
-    model, family, digest = _model_source(args, allow_family=True)
+    model, family = _model_source(args, allow_family=True)
     entries = []
     if family is not None:
         bound = compute_bounds(family, margin=args.margin)
@@ -230,13 +243,13 @@ def cmd_robust(args) -> int:
             bound = compute_bounds(fam, margin=args.margin)
             entries.append({"scope": f"agent {rep}", "agents": cls, **bound.to_dict()})
     doc = {"command": "robust", "classes": entries}
-    _emit(doc, args, "robust", digest, started)
+    _emit(doc, args, "robust", model or family, started)
     return 0
 
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    model, _, digest = _model_source(args, allow_family=False)
+    model, _ = _model_source(args, allow_family=False)
     if args.out is None:
         raise _UsageError("simulate requires --out for the CSV")
     config = SimConfig(steps=args.steps, trials=args.trials, seed=args.seed)
@@ -260,13 +273,13 @@ def cmd_simulate(args) -> int:
             "initial_mean_sq": float(ms[0]),
             "final_mean_sq": float(ms[-1]),
         }
-    _emit(doc, args, "simulate", digest, started, payload=payload)
+    _emit(doc, args, "simulate", model, started, payload=payload)
     return 0
 
 
 def cmd_inspect(args) -> int:
     started = time.monotonic()
-    model, _, digest = _model_source(args, allow_family=False)
+    model, _ = _model_source(args, allow_family=False)
     agents = []
     for i in range(1, model.n_agents + 1):
         agents.append(
@@ -300,7 +313,7 @@ def cmd_inspect(args) -> int:
         "agents": agents,
         "classes": classes,
     }
-    _emit(doc, args, "inspect", digest, started)
+    _emit(doc, args, "inspect", model, started)
     return 0
 
 

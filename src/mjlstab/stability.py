@@ -1,11 +1,14 @@
 """Mean-square stability tests for the switched representation.
 
-The network is mean-square stable iff the spectral radius of the
-second-moment operator L of the mode family is below one. The full-network
-family is exponentially large, so the scalable route is the per-agent
-reduced test: run the same spectral test on every agent's neighborhood
-family and require all of them to pass. Symmetric agents can be grouped
-first so each distinct subsystem is only analyzed once. Scopes run serially.
+A mode family is mean-square stable iff the spectral radius of its
+second-moment operator L is below one. The full-network family is exact but
+exponentially large. The scalable route is the per-agent reduced test: the
+same spectral test on every agent's neighborhood family, with the couplings
+that leave the neighborhood dropped. It certifies each neighborhood
+subsystem, not the whole network, which can be unstable while every
+neighborhood passes. Agents with the same exact local structure share one
+build and solve; symmetric agents can also be grouped in the report. Scopes
+run serially.
 
 Every scope is first tested matrix free, by the cone iteration on L (only L
 is applied, as batched matmul), so the solver state is a few stacks of
@@ -21,7 +24,7 @@ the spectral verdicts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +45,11 @@ _CANONICAL_LIMIT = 8
 # Step budget and relative error target of the cone iteration (`_cone_radius`).
 _CONE_MAX_ITER = 500
 _CONE_TOL = 1e-13
+# A change that shrinks by no more than _CONE_STALL per step cannot meet
+# _CONE_TOL within the budget (0.95^500 is 7e-12); the cone iteration gives
+# up after _CONE_STALL_STEPS such steps that each also reverse the growth.
+_CONE_STALL = 0.95
+_CONE_STALL_STEPS = 8
 
 
 def verdict(rho: float) -> str:
@@ -200,18 +208,21 @@ def _cone_radius(family: ModeFamily, transition=None) -> float | None:
     successive changes of the growth, a geometric tail has |change| r/(1-r)
     left to go. The estimate must pass twice in a row, so one change that
     happens to be tiny cannot stop it. A periodic chain keeps the growth
-    oscillating and gets None.
+    oscillating and gets None: early, after _CONE_STALL_STEPS steps in a row
+    that each reverse the growth's direction without shrinking its change
+    below _CONE_STALL times the last one.
     """
     m, d = family.mode_count, family.state_dim
     x = np.broadcast_to(np.eye(d) / (m * d), (m, d, d))
-    growth = change = 0.0
-    passed = 0
+    growth = step = change = 0.0
+    passed = stalled = 0
     for _ in range(_CONE_MAX_ITER):
         y = second_moment_map(family, x, transition)
         prev, growth = growth, float(np.trace(y, axis1=1, axis2=2).sum())
         if growth == 0.0:
             return 0.0
-        prev_change, change = change, abs(growth - prev)
+        prev_step, step = step, growth - prev
+        prev_change, change = change, abs(step)
         if change == 0.0:
             error = 0.0
         elif change < prev_change:
@@ -222,6 +233,10 @@ def _cone_radius(family: ModeFamily, transition=None) -> float | None:
         passed = passed + 1 if error <= _CONE_TOL * growth else 0
         if passed == 2:
             return growth
+        reverses = step * prev_step < 0.0
+        stalled = stalled + 1 if reverses and change >= _CONE_STALL * prev_change else 0
+        if stalled == _CONE_STALL_STEPS:
+            return None
         x = y / growth
     return None
 
@@ -270,18 +285,29 @@ def _canonical_signature(model: DncsModel, agent: int):
         pos = {agent: 0}
         for k, a in enumerate(perm):
             pos[a] = k + 1
-        diag = tuple(
-            sorted((pos[a], model.blocks[(a, a)].tobytes()) for a in nb)
-        )
-        link_sig = tuple(
-            sorted(
-                (pos[l], pos[j], model.blocks[(l, j)].tobytes()) for (l, j) in links
-            )
-        )
-        candidate = (len(nb), diag, link_sig)
+        candidate = _structure(model, nb, links, pos)
         if best is None or candidate < best:
             best = candidate
     return best
+
+
+def _local_structure(model: DncsModel, agent: int):
+    """The exact local structure of an agent's scope: `_structure` under the
+    sorted-neighborhood positions that `build_mode_family` assembles by.
+    Agents with equal structures get byte-identical mode families."""
+    nb = neighborhood(model, agent)
+    pos = {a: k for k, a in enumerate(nb)}
+    return _structure(model, nb, enumerate_links(model, agent), pos)
+
+
+def _structure(model: DncsModel, nb, links, pos):
+    """A neighborhood's blocks under the labeling `pos`: its size, each
+    diagonal block by position, and (receiver, sender, block) of each link."""
+    diag = tuple(sorted((pos[a], model.blocks[(a, a)].tobytes()) for a in nb))
+    link_sig = tuple(
+        sorted((pos[l], pos[j], model.blocks[(l, j)].tobytes()) for (l, j) in links)
+    )
+    return (len(nb), diag, link_sig)
 
 
 def mss_test_reduced(
@@ -289,20 +315,30 @@ def mss_test_reduced(
     dedup: bool = False,
     max_modes: int = MODE_CAP,
 ) -> StabilityReport:
-    """Per-agent reduced test: the network is mean-square stable iff every
-    agent's neighborhood subsystem passes the spectral test.
+    """Per-agent reduced test: the spectral test of every agent's
+    neighborhood subsystem, one scope per agent. It certifies each
+    neighborhood subsystem, with the couplings that reach outside it
+    dropped; it does not certify the whole network, which `mss_test_full`
+    tests.
 
-    With dedup=True, symmetric agents are grouped first and one
-    representative per class is evaluated.
+    Each distinct local structure (`_local_structure`) is built and solved
+    once, and agents that share it share its result. With dedup=True,
+    symmetric agents are grouped first and one representative per class is
+    reported.
     """
     if dedup:
         classes = dedup_agents(model)
     else:
         classes = [[i] for i in range(1, model.n_agents + 1)]
-    scopes = [
-        _scope_result(build_mode_family(model, scope=cls[0], max_modes=max_modes))
-        for cls in classes
-    ]
+    solved: dict = {}
+    scopes = []
+    for cls in classes:
+        agent = cls[0]
+        key = _local_structure(model, agent)
+        if key not in solved:
+            family = build_mode_family(model, scope=agent, max_modes=max_modes)
+            solved[key] = _scope_result(family)
+        scopes.append(replace(solved[key], scope=f"agent {agent}"))
     return StabilityReport(
         scopes=scopes,
         overall=_overall(scopes),

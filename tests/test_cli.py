@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import mjlstab
+from mjlstab import cli
 from mjlstab.cli import main
+from mjlstab.model import build_pendulum_model, dump_model
 
 SCALAR_FAMILY = {
     "matrices": [[[0.5]], [[1.25]]],
@@ -345,6 +347,42 @@ def test_family_digest_is_a_fixed_byte_layout(capsys, tmp_path):
     moved = json.loads(json.dumps(doc))
     moved["matrices"][0][0][1] = float(np.nextafter(0.1, 1.0))
     assert digest(moved) != first
+
+
+def test_model_digest_is_a_fixed_byte_layout(capsys, tmp_path):
+    def digest(*source):
+        out = tmp_path / "report.json"
+        run(capsys, "analyze", *source, "--out", str(out))
+        return json.loads((tmp_path / "report.json.manifest.json").read_text())["model_digest"]
+
+    first = digest("--pendulum", "2")
+    # N, n, tau_d, the block count and each sorted (i, j) as little-endian
+    # uint64, then the blocks, P and pi0 as little-endian float64
+    model = build_pendulum_model(2)
+    keys = sorted(model.blocks)
+    values = np.concatenate([model.blocks[k].ravel() for k in keys]
+                            + [model.chain.P.ravel(), model.chain.pi0])
+    layout = (struct.pack("<4Q", 2, 2, 1, 4) + struct.pack("<8Q", *np.ravel(keys))
+              + struct.pack(f"<{values.size}d", *values))
+    assert first == hashlib.sha256(layout).hexdigest()
+    doc = json.loads(dump_model(model))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert digest("--model", str(path)) == first
+    doc["blocks"][0]["values"][1] = float(np.nextafter(0.1, 1.0))
+    path.write_text(json.dumps(doc))
+    assert digest("--model", str(path)) != first
+
+
+def test_model_digest_only_with_out(capsys, tmp_path, monkeypatch):
+    sources = []
+    real = cli._source_digest
+    monkeypatch.setattr(cli, "_source_digest", lambda source: sources.append(source) or real(source))
+    run(capsys, "analyze", "--pendulum", "4")
+    run(capsys, "inspect", "--pendulum", "4")
+    assert sources == []
+    run(capsys, "analyze", "--pendulum", "4", "--out", str(tmp_path / "report.json"))
+    assert len(sources) == 1
 
 
 def test_thread_environment_variable_is_ignored(capsys, monkeypatch):

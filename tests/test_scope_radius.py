@@ -1,8 +1,9 @@
 """The matrix-free spectral test of scopes: cone iteration on the
 second-moment operator at every size, then the dense eigensolve (up to
-QR_CUTOFF rows) or ARPACK (above) when it does not settle, and the byte cap
-on solver state. Dense eig of the test matrix, ARPACK on the operator and
-the covariance recursion are the oracles."""
+QR_CUTOFF rows) or ARPACK (above) when it does not settle, the byte cap
+on solver state, and one build and solve per exact local structure in the
+reduced test. Dense eig of the test matrix, ARPACK on the operator and the
+covariance recursion are the oracles."""
 
 import json
 import math
@@ -17,6 +18,8 @@ from mjlstab.linalg import QR_CUTOFF, SizeLimitError, kron_power, sparse_spectra
 from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
 from mjlstab.stability import (
     _cone_radius,
+    _local_structure,
+    _scope_result,
     _solve_scope,
     covariance_init,
     covariance_step,
@@ -177,6 +180,26 @@ def test_small_periodic_scope_falls_back_to_dense_eig(solver_calls):
     assert scope.rho == dense_rho(fam)
 
 
+@pytest.mark.parametrize("case", ["scalar_flip", "endpoint_flip"])
+def test_period_two_chain_gives_up_early(case, monkeypatch):
+    # a joint chain that flips every step keeps the growth alternating with
+    # a change that does not shrink; the cone iteration stops long before
+    # its 500-step budget and the dense eigensolve answers
+    flip = [[0.0, 1.0], [1.0, 0.0]]
+    if case == "scalar_flip":
+        fam = ModeFamily.from_matrices([[[0.5]], [[0.8]]], flip)
+    else:
+        fam = ModeFamily.from_matrices(endpoint_family().matrices, kron_power(flip, 2))
+    steps = []
+    real = stability.second_moment_map
+    monkeypatch.setattr(stability, "second_moment_map",
+                        lambda *args: steps.append(1) or real(*args))
+    rho, solver = _solve_scope(fam)
+    assert len(steps) <= 100
+    assert solver == "dense"
+    assert rho == dense_rho(fam)
+
+
 def test_random_small_families_match_dense_eig():
     # every shape from 4 to 512 rows: m from 1 to 128 modes, d from 1 to 3
     rng = np.random.default_rng(5)
@@ -298,3 +321,80 @@ def test_solver_state_byte_cap(monkeypatch):
     small = build_mode_family(build_pendulum_model(16), scope=1)
     monkeypatch.setattr(linalg, "BYTE_CAP", 0)
     assert mss_test_family(small).overall == "stable"
+
+
+# ---------------------------------------------------------------------------
+# One build and solve per exact local structure
+# ---------------------------------------------------------------------------
+
+
+def pooled_chain_model(seed, n_agents=16):
+    """Scalar chain whose diagonal blocks are drawn from two values and whose
+    links all carry one, so that agents share their local structure exactly,
+    only up to relabeling (mirror images), or not at all."""
+    rng = np.random.default_rng(seed)
+    blocks = {(i, i): [[rng.choice([0.5, 0.6])]] for i in range(1, n_agents + 1)}
+    for i in range(1, n_agents):
+        blocks[(i, i + 1)] = blocks[(i + 1, i)] = [[0.1]]
+    chain = DelayChain(P=[[0.6, 0.4], [0.3, 0.7]], pi0=[1.0, 0.0])
+    return DncsModel(n_agents=n_agents, n=1, tau_d=1, blocks=blocks, chain=chain)
+
+
+# model -> number of distinct local structures
+LOCAL_STRUCTURES = {
+    "pendulum4": (lambda: build_pendulum_model(4), 2),
+    "pendulum16": (lambda: build_pendulum_model(16), 2),
+    "ladder": (lambda: ladder_model(0), 8),
+    "grid5x5": (rotation_grid_model, 6),
+    "tau2_pendulum": (tau2_pendulum_model, 2),
+    "pooled_chain": (lambda: pooled_chain_model(0), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_STRUCTURES))
+def test_equal_local_structures_build_identical_families(name):
+    make, distinct = LOCAL_STRUCTURES[name]
+    model = make()
+    groups = {}
+    for agent in range(1, model.n_agents + 1):
+        groups.setdefault(_local_structure(model, agent), []).append(agent)
+    assert len(groups) == distinct
+    for agents in groups.values():
+        first = build_mode_family(model, scope=agents[0])
+        for agent in agents[1:]:
+            fam = build_mode_family(model, scope=agent)
+            for attr in ("matrices", "joint_P", "joint_pi0"):
+                a, b = getattr(fam, attr), getattr(first, attr)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (agent, attr)
+
+
+@pytest.mark.parametrize("name", ["pendulum16", "ladder", "tau2_pendulum", "pooled_chain"])
+def test_reduced_test_equals_per_agent_scopes(name):
+    model = LOCAL_STRUCTURES[name][0]()
+    expected = [_scope_result(build_mode_family(model, scope=agent))
+                for agent in range(1, model.n_agents + 1)]
+    assert mss_test_reduced(model).scopes == expected
+
+
+@pytest.mark.parametrize("name, model, solved", [
+    ("pendulum1000", lambda: build_pendulum_model(1000), 2),
+    ("ladder", lambda: ladder_model(0), 8),
+    # mirror-image neighborhoods are one symmetry class but two structures
+    ("pooled_chain", lambda: pooled_chain_model(0), 7),
+])
+def test_reduced_test_solves_each_local_structure_once(name, model, solved, monkeypatch):
+    calls = {"build": 0, "solve": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stability, "build_mode_family",
+                        counted("build", stability.build_mode_family))
+    monkeypatch.setattr(stability, "_solve_scope", counted("solve", stability._solve_scope))
+    model = model()
+    report = mss_test_reduced(model)
+    assert len(report.scopes) == model.n_agents
+    assert calls == {"build": solved, "solve": solved}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mjlstab.linalg import spectral_radius
-from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
+from mjlstab.model import DelayChain, DncsModel, PendulumParams, build_pendulum_model
 from mjlstab.stability import (
     MARGINAL_BAND,
     ScopeResult,
@@ -198,6 +198,18 @@ def test_full_equals_reduced_when_neighborhood_is_whole_network():
         assert scope.rho == full.scopes[0].rho
         assert scope.m == full.scopes[0].m == 4
     assert reduced.overall == full.overall == "stable"
+
+
+def test_reduced_test_certifies_neighborhoods_not_the_network():
+    # each neighborhood subsystem drops the couplings that leave it, so all
+    # of them can pass while the whole network is mean-square unstable
+    model = build_pendulum_model(4, params=PendulumParams(coupling=0.14))
+    full = mss_test_full(model)
+    reduced = mss_test_reduced(model)
+    assert full.overall == "unstable"
+    assert full.scopes[0].rho == pytest.approx(1.01653, abs=1e-5)
+    assert reduced.overall == "stable"
+    assert max(s.rho for s in reduced.scopes) == pytest.approx(0.99871, abs=1e-5)
 
 
 def test_full_raises_cap_on_large_network():
