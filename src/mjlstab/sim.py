@@ -9,12 +9,14 @@ otherwise define).
 Randomness comes from a counter-based generator (Philox) keyed by
 (seed, trial) with a fixed draw order (initial state, initial delays, then
 one block of uniforms per step), so every trial is reproducible on its own
-and independent of how trials are grouped into blocks and threads.
+and independent of how trials are grouped into blocks and processes.
 
 One step loop serves both entry points: it advances a block of trials
 together, with trials on the last array axis, so each numpy call covers the
 whole block. `simulate_trajectory` runs a block of one trial and keeps its
 states; `estimate_ms` runs one block per core and keeps only squared norms.
+The loop's per-step work has no data-dependent branch: the delayed product
+of each link is picked from the ring of the last q products by bit masks.
 """
 
 from __future__ import annotations
@@ -151,6 +153,12 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
     _products(link_mats, x[senders], delayed, link_tmp)
     prods[:] = delayed
     head = 0
+    # the delayed products are picked by XOR, AND, XOR on their bit patterns:
+    # no branch on a fresh random mask, and exact for every float (signed
+    # zeros and NaN payloads included)
+    prod_bits, delayed_bits = prods.view(np.int64), delayed.view(np.int64)
+    pick_bits = link_tmp.view(np.int64)
+    mask = np.empty((n_links, 1, n_trials), dtype=np.int64)
     flat = np.empty((n_trials, n_agents, n))  # x(k) per trial, row-major
     sqnorm = np.empty((n_trials, steps + 1))
     states = delays_out = None
@@ -170,7 +178,12 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
         _products(diag_mats, x, x_next, tmp)
         np.copyto(delayed, prods[head])
         for d in range(1, q):
-            np.copyto(delayed, prods[(head - d) % q], where=(delays == d)[:, None, :])
+            # mask is all ones where a link's delay is d, zeros elsewhere
+            np.equal(delays, d, out=mask[:, 0, :])
+            np.negative(mask, out=mask)
+            np.bitwise_xor(delayed_bits, prod_bits[(head - d) % q], out=pick_bits)
+            pick_bits &= mask
+            delayed_bits ^= pick_bits
         for slot_receivers, slot_links in slots:
             x_next[slot_receivers] += delayed[slot_links]
         head = (head + 1) % q
@@ -201,9 +214,11 @@ def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
     """Sample mean of the squared state norm per step across trials.
 
     The trials are split into one contiguous block per core, and each block
-    runs as one batched step loop on a thread of `parallel_map`. Only the
-    squared norms are kept; they are stacked in trial order before the mean,
-    so the result does not depend on the core count or thread scheduling.
+    runs as one batched step loop: the first in this process, the others in
+    forked children of `parallel_map` (on threads the blocks waited on each
+    other for the GIL; without `os.fork` they run serially). Only the squared
+    norms are kept and sent back; they are stacked in trial order before the
+    mean, so the result is bit-identical for any core count.
     """
     blocks = np.array_split(
         np.arange(config.trials), min(os.cpu_count() or 1, config.trials)

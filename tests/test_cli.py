@@ -12,7 +12,8 @@ import pytest
 import mjlstab
 from mjlstab import cli
 from mjlstab.cli import main
-from mjlstab.model import build_pendulum_model, dump_model
+from mjlstab.model import DelayChain, DncsModel, build_pendulum_model, dump_model
+from test_sim import pendulum_tau2
 
 SCALAR_FAMILY = {
     "matrices": [[[0.5]], [[1.25]]],
@@ -266,6 +267,66 @@ def test_simulate_csv_matches_golden_digest(capsys, tmp_path, trials):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[trials]
 
 
+def overflow_ring(n_agents=4, a=1e30, c=1e30):
+    """Scalar ring whose states pass 1e308 by step 11: each agent adds its
+    successor's state and subtracts its predecessor's, so once states are
+    infinite, opposite infinities meet and give NaN."""
+    blocks = {(i, i): np.array([[a]]) for i in range(1, n_agents + 1)}
+    for i in range(1, n_agents + 1):
+        blocks[(i, i % n_agents + 1)] = np.array([[c]])
+        blocks[(i % n_agents + 1, i)] = np.array([[-c]])
+    chain = DelayChain(P=[[0.5, 0.5], [0.5, 0.5]], pi0=[0.5, 0.5])
+    return DncsModel(n_agents=n_agents, n=1, tau_d=1, blocks=blocks, chain=chain)
+
+
+# sha256 of the CSVs of `simulate --model <model> --steps S --trials T --seed 3`.
+# The tau_d = 2 pendulum has q = 3, so the delayed-product select picks from
+# more than one older product; the overflow ring's CSVs hold inf, -inf and nan.
+GOLDEN_MODEL_CSV_SHA256 = {
+    "tau2-5-trials": (pendulum_tau2, 60, 5,
+                      "242e05105c2b321096b4d9ed55421fc9d738aeec3cc83a67dc9d41a28342db41"),
+    "overflow-1-trial": (overflow_ring, 30, 1,
+                         "af16ead32c55b114693ffd086d6d4ebebc69fb6ef18e67e5f198228de5dfd296"),
+    "overflow-4-trials": (overflow_ring, 30, 4,
+                          "607dcc8b0f34d2c3090bbabc900de8dd1c8291a099e76721a8f7731b8c84ec1e"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(GOLDEN_MODEL_CSV_SHA256))
+def test_simulate_model_csv_matches_golden_digest(capsys, tmp_path, case):
+    make, steps, trials, digest = GOLDEN_MODEL_CSV_SHA256[case]
+    path = tmp_path / "model.json"
+    path.write_text(dump_model(make()))
+    out = tmp_path / "sim.csv"
+    code, _ = run(
+        capsys,
+        "simulate", "--model", str(path), "--steps", str(steps),
+        "--trials", str(trials), "--seed", "3", "--out", str(out),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_in_fresh_interpreter_prints_one_document(tmp_path):
+    # the trial blocks run in forked children: neither may flush the stdout
+    # buffer it inherits or run atexit handlers, or the report would repeat
+    src = str(Path(mjlstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "sim.csv"
+    probe = "import sys; from mjlstab.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "simulate", "--pendulum", "8",
+         "--steps", "50", "--trials", "6", "--seed", "3", "--out", str(out)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    doc, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert doc["command"] == "simulate"
+    assert proc.stdout[end:].strip() == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256["6"]
+
+
 # ---------------------------------------------------------------------------
 # inspect
 # ---------------------------------------------------------------------------
@@ -393,12 +454,15 @@ def test_thread_environment_variable_is_ignored(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # every CLI start pays for what `import mjlstab.cli` loads: neither the
+    # solvers nor a thread pool belong on that path
     src = str(Path(mjlstab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, mjlstab.cli; print('scipy' in sys.modules)"
+    probe = ("import sys, mjlstab.cli; "
+             "print(*[m for m in ('concurrent.futures', 'scipy') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == ""
 
 
 def test_analyze_large_pendulum_leaves_scipy_unloaded():

@@ -1,10 +1,13 @@
 import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mjlstab import sim
+from mjlstab._parallel import parallel_map
 
 from mjlstab.model import (
     DelayChain,
@@ -176,9 +179,15 @@ def test_estimate_ms_independent_of_core_count(monkeypatch, case):
         assert np.array_equal(other, results[0])
 
 
-def test_estimate_ms_memory_stays_per_block():
+@pytest.mark.parametrize("cores", [1, None], ids=["one-core", "all-cores"])
+def test_estimate_ms_memory_stays_per_block(monkeypatch, cores):
     """Only the squared norms of each trial are kept: keeping every trial's
-    states of 200 pendulums over 400 steps would take 128 MB."""
+    states of 200 pendulums over 400 steps would take 128 MB. On one core the
+    100 trials are one block in this process; on the machine's own count the
+    first block runs here and the others in forked children, which
+    tracemalloc does not see."""
+    if cores is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
     model = build_pendulum_model(200)
     cfg = SimConfig(steps=400, trials=100, seed=0)
     tracemalloc.start()
@@ -188,6 +197,77 @@ def test_estimate_ms_memory_stays_per_block():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Worker processes of parallel_map
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def _assert_nothing_left(fds_before):
+    # every child is reaped and every pipe closed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds_before
+
+
+@needs_fork
+def test_parallel_map_returns_results_in_input_order():
+    fds = _open_fds()
+    offset = np.arange(3.0)  # reached through the closure, never pickled
+    assert [r.tolist() for r in parallel_map(lambda x: offset + x, [5, 6, 7])] == [
+        [5.0, 6.0, 7.0], [6.0, 7.0, 8.0], [7.0, 8.0, 9.0]]
+    _assert_nothing_left(fds)
+
+
+@needs_fork
+def test_parallel_map_reraises_a_child_exception():
+    def work(x):
+        if x == 2:
+            raise ValueError(f"bad item {x}")
+        return x
+
+    fds = _open_fds()
+    with pytest.raises(ValueError) as info:
+        parallel_map(work, [1, 2, 3])
+    assert info.type is ValueError
+    assert str(info.value) == "bad item 2"
+    _assert_nothing_left(fds)
+
+
+@needs_fork
+def test_parallel_map_names_the_item_of_a_killed_child():
+    def work(x):
+        if x == "b":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match=r"item 1: .*killed by SIGKILL"):
+        parallel_map(work, ["a", "b", "c"])
+    _assert_nothing_left(fds)
+
+
+@needs_fork
+def test_parallel_map_reaps_children_when_the_parent_item_raises():
+    def work(x):
+        if x == 0:
+            raise KeyError("parent item")
+        time.sleep(30)  # the children are still running when the parent raises
+        return x
+
+    fds = _open_fds()
+    started = time.monotonic()
+    with pytest.raises(KeyError, match="parent item"):
+        parallel_map(work, [0, 1, 2])
+    assert time.monotonic() - started < 10
+    _assert_nothing_left(fds)
 
 
 # ---------------------------------------------------------------------------
