@@ -62,7 +62,6 @@ from .stability import (
 )
 from .switched import (
     DelayConfig,
-    EnumerationCapError,
     ModeFamily,
     build_mode_family,
     build_mode_matrix,
@@ -80,7 +79,6 @@ __all__ = [
     "DelayChain",
     "DelayConfig",
     "DncsModel",
-    "EnumerationCapError",
     "ModeFamily",
     "ModelError",
     "PendulumParams",

@@ -47,7 +47,6 @@ from .stability import (
     mss_test_reduced,
 )
 from .switched import (
-    EnumerationCapError,
     ModeFamily,
     build_mode_family,
     enumerate_links,
@@ -211,8 +210,6 @@ def _count_json(count):
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     model, family = _model_source(args, allow_family=True)
-    if args.full and args.reduced:
-        raise _UsageError("--full and --reduced are mutually exclusive")
     doc: dict = {"command": "analyze"}
     if family is not None:
         report = mss_test_family(family)
@@ -280,26 +277,23 @@ def cmd_simulate(args) -> int:
 def cmd_inspect(args) -> int:
     started = time.monotonic()
     model, _ = _model_source(args, allow_family=False)
-    agents = []
-    for i in range(1, model.n_agents + 1):
-        agents.append(
-            {
-                "agent": i,
-                "links": len(enumerate_links(model, i)),
-                "modes": _count_json(mode_count(model, i)),
-            }
-        )
-    classes = []
-    for cls in dedup_agents(model):
-        rep = cls[0]
-        classes.append(
-            {
-                "representative": rep,
-                "size": len(cls),
-                "links": len(enumerate_links(model, rep)),
-                "modes": _count_json(mode_count(model, rep)),
-            }
-        )
+    agents = [
+        {
+            "agent": i,
+            "links": len(enumerate_links(model, i)),
+            "modes": _count_json(mode_count(model, i)),
+        }
+        for i in range(1, model.n_agents + 1)
+    ]
+    classes = [
+        {
+            "representative": cls[0],
+            "size": len(cls),
+            "links": agents[cls[0] - 1]["links"],
+            "modes": agents[cls[0] - 1]["modes"],
+        }
+        for cls in dedup_agents(model)
+    ]
     doc = {
         "command": "inspect",
         "N": model.n_agents,
@@ -335,8 +329,6 @@ def _build_parser() -> _Parser:
     add_common(p, family=True)
     p.add_argument("--full", action="store_true",
                    help="enumerate the whole network's modes (exponential)")
-    p.add_argument("--reduced", action="store_true",
-                   help="per-agent reduced test (default)")
     p.add_argument("--dedup", action="store_true",
                    help="group symmetric agents before testing")
     p.set_defaults(func=cmd_analyze)
@@ -371,8 +363,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(json.dumps({"error": f"usage: {exc}"}))
         return 1
-    except (ModelError, EnumerationCapError, SizeLimitError, ValueError,
-            ArithmeticError, OSError) as exc:
+    except (ModelError, SizeLimitError, ValueError, ArithmeticError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
 

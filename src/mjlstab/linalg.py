@@ -50,9 +50,11 @@ class SizeLimitError(ValueError):
 
 def check_bytes(nbytes: int, what: str, hint: str = "") -> None:
     """Raise SizeLimitError naming `what`, its bytes and the cap when
-    `nbytes` exceeds BYTE_CAP; `hint` is appended to the message."""
+    `nbytes` exceeds BYTE_CAP; `hint` is appended to the message. Byte
+    counts of 2^64 and more are shown as a power of two."""
     if nbytes > BYTE_CAP:
-        raise SizeLimitError(f"{what} would hold {nbytes} bytes (cap {BYTE_CAP}){hint}")
+        shown = nbytes if nbytes < 1 << 64 else f"over 2^{nbytes.bit_length() - 1}"
+        raise SizeLimitError(f"{what} would hold {shown} bytes (cap {BYTE_CAP}){hint}")
 
 
 def _as_matrix(a) -> np.ndarray:

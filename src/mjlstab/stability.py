@@ -24,14 +24,14 @@ the spectral verdicts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .linalg import ARPACK_NCV, QR_CUTOFF, check_bytes, inf_norm, spectral_radius
 from .linalg import sparse_spectral_radius
 from .model import DncsModel, neighborhood
-from .switched import MODE_CAP, ModeFamily, build_mode_family, enumerate_links
+from .switched import ModeFamily, build_mode_family, enumerate_links
 
 # Spectral radii within this distance of 1 are reported as "marginal" rather
 # than being forced into a stable/unstable boolean.
@@ -101,9 +101,9 @@ class ScopeResult:
     scope: str
     rho: float
     stable: bool
+    verdict: str
     m: int
     dim: int
-    verdict: str
     solver: str  # "cone", "dense" or "arpack": the route of `scope_radius`
 
 
@@ -123,18 +123,7 @@ class StabilityReport:
     def to_dict(self) -> dict:
         return {
             "overall": self.overall,
-            "scopes": [
-                {
-                    "scope": s.scope,
-                    "rho": s.rho,
-                    "stable": s.stable,
-                    "verdict": s.verdict,
-                    "m": s.m,
-                    "dim": s.dim,
-                    "solver": s.solver,
-                }
-                for s in self.scopes
-            ],
+            "scopes": [asdict(s) for s in self.scopes],
             "classes": self.classes,
         }
 
@@ -247,13 +236,13 @@ def mss_test_family(family: ModeFamily) -> StabilityReport:
     return StabilityReport(scopes=[result], overall=_overall([result]))
 
 
-def mss_test_full(model: DncsModel, max_modes: int = MODE_CAP) -> StabilityReport:
+def mss_test_full(model: DncsModel) -> StabilityReport:
     """Full-network test: enumerate every delay mode of the whole network.
 
-    Exact but exponential in the link count; raises EnumerationCapError with
-    a pointer to the reduced test when the network is too large.
+    Exact but exponential in the link count; raises SizeLimitError with a
+    pointer to the reduced test when the network's family is too large.
     """
-    family = build_mode_family(model, scope=None, max_modes=max_modes)
+    family = build_mode_family(model, scope=None)
     return mss_test_family(family)
 
 
@@ -310,11 +299,7 @@ def _structure(model: DncsModel, nb, links, pos):
     return (len(nb), diag, link_sig)
 
 
-def mss_test_reduced(
-    model: DncsModel,
-    dedup: bool = False,
-    max_modes: int = MODE_CAP,
-) -> StabilityReport:
+def mss_test_reduced(model: DncsModel, dedup: bool = False) -> StabilityReport:
     """Per-agent reduced test: the spectral test of every agent's
     neighborhood subsystem, one scope per agent. It certifies each
     neighborhood subsystem, with the couplings that reach outside it
@@ -336,7 +321,7 @@ def mss_test_reduced(
         agent = cls[0]
         key = _local_structure(model, agent)
         if key not in solved:
-            family = build_mode_family(model, scope=agent, max_modes=max_modes)
+            family = build_mode_family(model, scope=agent)
             solved[key] = _scope_result(family)
         scopes.append(replace(solved[key], scope=f"agent {agent}"))
     return StabilityReport(

@@ -17,6 +17,11 @@ Mode indexing is big-endian over the sorted link list (first link is the most
 significant digit), and the joint transition matrix is the matching Kronecker
 power of the per-link chain, so index order and probability order always
 agree.
+
+The mode count q^L explodes with the link count L. `build_mode_family`
+checks the q^L mode matrices and the q^L x q^L joint chain against
+`linalg.BYTE_CAP` before it allocates anything, and then assembles every
+mode in one batched pass.
 """
 
 from __future__ import annotations
@@ -28,15 +33,8 @@ import numpy as np
 from .linalg import check_bytes, kron_power
 from .model import DncsModel, neighborhood, senders
 
-# Hard ceiling on how many modes may be enumerated explicitly.
-MODE_CAP = 1 << 20
-
 # Integer size above which mode counts are reported as (base, exponent).
 _EXACT_COUNT_LIMIT = 1 << 62
-
-
-class EnumerationCapError(RuntimeError):
-    """Enumerating this scope would exceed the mode cap."""
 
 
 def enumerate_links(model: DncsModel, scope: int | None = None) -> list[tuple[int, int]]:
@@ -117,29 +115,32 @@ def _scope_agents(model: DncsModel, scope: int | None) -> list[int]:
     return neighborhood(model, scope)
 
 
-def _assemble_mode(
+def _assemble(
     model: DncsModel,
     agents: list[int],
     links: list[tuple[int, int]],
-    digits,
+    digits: np.ndarray,
 ) -> np.ndarray:
+    """Mode matrices of a scope, one per row of `digits` (rows, L), whose
+    entry t is the delay of the t-th link."""
     n = model.n
     q = model.q
     pos = {agent: k for k, agent in enumerate(agents)}
     size = len(agents) * n
-    w = np.zeros((size * q, size * q))
+    w = np.zeros((len(digits), size * q, size * q))
     # delay-free slot: every diagonal block of the scope
     for agent in agents:
         k = pos[agent] * n
-        w[k : k + n, k : k + n] = model.blocks[(agent, agent)]
+        w[:, k : k + n, k : k + n] = model.blocks[(agent, agent)]
     # coupling blocks, each shifted into the slot of its link's delay
-    for (recv, send), d in zip(links, digits):
+    for t, (recv, send) in enumerate(links):
         r = pos[recv] * n
-        c = d * size + pos[send] * n
-        w[r : r + n, c : c + n] = model.blocks[(recv, send)]
+        for d in range(q):
+            c = d * size + pos[send] * n
+            w[digits[:, t] == d, r : r + n, c : c + n] = model.blocks[(recv, send)]
     # shift structure: identity sub-diagonal moving history down one slot
     for t in range(1, q):
-        w[t * size : (t + 1) * size, (t - 1) * size : t * size] = np.eye(size)
+        w[:, t * size : (t + 1) * size, (t - 1) * size : t * size] = np.eye(size)
     return w
 
 
@@ -155,7 +156,8 @@ def build_mode_matrix(
         )
     if any(not 0 <= d <= model.tau_d for d in config.digits):
         raise ValueError(f"delay digit out of range 0..{model.tau_d}")
-    return _assemble_mode(model, _scope_agents(model, scope), links, config.digits)
+    digits = np.array([config.digits], dtype=int)
+    return _assemble(model, _scope_agents(model, scope), links, digits)[0]
 
 
 @dataclass(eq=False)
@@ -223,53 +225,29 @@ class ModeFamily:
         )
 
 
-def build_mode_family(
-    model: DncsModel, scope: int | None = None, max_modes: int = MODE_CAP
-) -> ModeFamily:
+def build_mode_family(model: DncsModel, scope: int | None = None) -> ModeFamily:
     """Enumerate every delay mode of a scope into a ModeFamily.
 
-    Raises EnumerationCapError when q^L exceeds max_modes; for the global
-    scope of a large network that is the expected outcome, and the per-agent
-    reduced scope is the tractable alternative.
+    Raises SizeLimitError, before anything is allocated, when the q^L mode
+    matrices or the q^L x q^L joint chain would exceed `linalg.BYTE_CAP`;
+    for the global scope of a large network that is the expected outcome,
+    and the per-agent reduced scope is the tractable alternative.
     """
     links = enumerate_links(model, scope)
     q = model.q
     count = q ** len(links)
-    if count > max_modes:
-        where = "global scope" if scope is None else f"agent {scope}"
-        hint = (
-            "; use the reduced per-agent test"
-            if scope is None
-            else "; neighborhood too dense"
-        )
-        raise EnumerationCapError(
-            f"{where} has {q}^{len(links)} delay modes, exceeding the cap of "
-            f"{max_modes}{hint}"
-        )
     agents = _scope_agents(model, scope)
     dim = len(agents) * model.n * q
-    check_bytes(8 * count * dim * dim, f"mode family of {count} {dim}x{dim} matrices")
-    mats = np.empty((count, dim, dim))
-    digits = [0] * len(links)
-    for idx in range(count):
-        if idx:
-            # increment the big-endian base-q digit string
-            t = len(digits) - 1
-            while True:
-                digits[t] += 1
-                if digits[t] < q:
-                    break
-                digits[t] = 0
-                t -= 1
-        mats[idx] = _assemble_mode(model, agents, links, digits)
-    joint_p = kron_power(model.chain.P, len(links))
-    joint_pi0 = np.ones(1)
-    for _ in range(len(links)):
-        joint_pi0 = np.kron(joint_pi0, model.chain.pi0)
+    where = "global scope" if scope is None else f"agent {scope}"
+    hint = "; use the reduced per-agent test" if scope is None else "; neighborhood too dense"
+    for what, nbytes in (("mode matrices", 8 * count * dim * dim),
+                         ("joint chain", 8 * count * count)):
+        check_bytes(nbytes, f"{where}: the {what} of {q}^{len(links)} delay modes", hint)
+    digits = np.arange(count)[:, None] // q ** np.arange(len(links))[::-1] % q
     return ModeFamily(
         scope=scope,
         state_dim=dim,
-        matrices=mats,
-        joint_P=joint_p,
-        joint_pi0=joint_pi0,
+        matrices=_assemble(model, agents, links, digits),
+        joint_P=kron_power(model.chain.P, len(links)),
+        joint_pi0=kron_power(model.chain.pi0[None, :], len(links))[0],
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mjlstab.linalg import spectral_radius
+from mjlstab.linalg import SizeLimitError, spectral_radius
 from mjlstab.model import DelayChain, DncsModel, PendulumParams, build_pendulum_model
 from mjlstab.stability import (
     MARGINAL_BAND,
@@ -20,7 +20,7 @@ from mjlstab.stability import (
     stack_covariance,
     verdict,
 )
-from mjlstab.switched import EnumerationCapError, ModeFamily, build_mode_family
+from mjlstab.switched import ModeFamily, build_mode_family
 
 
 def scalar_family(a1=0.5, a2=1.25, p=None):
@@ -213,7 +213,7 @@ def test_reduced_test_certifies_neighborhoods_not_the_network():
 
 
 def test_full_raises_cap_on_large_network():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(SizeLimitError):
         mss_test_full(build_pendulum_model(100))
 
 

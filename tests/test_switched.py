@@ -1,12 +1,15 @@
+import hashlib
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mjlstab import linalg, switched
 from mjlstab.linalg import SizeLimitError, kron_power
-from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
+from mjlstab.model import DelayChain, DncsModel, build_pendulum_model, load_model
 from mjlstab.switched import (
-    MODE_CAP,
     DelayConfig,
-    EnumerationCapError,
     ModeFamily,
     build_mode_family,
     build_mode_matrix,
@@ -250,21 +253,60 @@ def test_build_mode_family_agent_scope_uses_neighborhood():
 
 def test_enumeration_cap_global_hint():
     model = build_pendulum_model(100)
-    with pytest.raises(EnumerationCapError, match="reduced per-agent"):
+    with pytest.raises(SizeLimitError, match="reduced per-agent"):
         build_mode_family(model)
 
 
 def test_enumeration_cap_agent_hint():
     model = complete_graph_model(7)  # 42 links globally and per neighborhood
-    with pytest.raises(EnumerationCapError, match="neighborhood too dense"):
+    with pytest.raises(SizeLimitError, match="neighborhood too dense"):
         build_mode_family(model, scope=1)
 
 
-def test_enumeration_cap_respects_max_modes():
-    model = pair_model(c21=0.2)
-    with pytest.raises(EnumerationCapError):
-        build_mode_family(model, max_modes=3)
-    assert MODE_CAP == 1 << 20
+def fail_assembly(*args):
+    raise AssertionError("assembled a family that is refused")
+
+
+@pytest.mark.parametrize(
+    "model, scope, match",
+    [
+        # 2^14 modes: 134 MB of mode matrices but a 2.1 GB joint chain
+        (build_pendulum_model(8), None,
+         r"global scope: the joint chain of 2\^14 delay modes .*reduced per-agent"),
+        (complete_graph_model(7), 1,
+         r"agent 1: the mode matrices of 2\^42 delay modes .*neighborhood too dense"),
+    ],
+    ids=["pendulum8-global", "complete7-agent1"],
+)
+def test_size_check_refuses_before_assembly(monkeypatch, model, scope, match):
+    monkeypatch.setattr(switched, "_assemble", fail_assembly)
+    with pytest.raises(SizeLimitError, match=match):
+        build_mode_family(model, scope)
+
+
+def test_size_check_shows_huge_byte_counts_as_powers_of_two():
+    with pytest.raises(SizeLimitError, match=r"2\^19998 delay modes would hold over 2\^"):
+        build_mode_family(build_pendulum_model(10000))
+
+
+@pytest.mark.parametrize(
+    "model, scope",
+    [
+        (build_pendulum_model(16), 2),  # mode matrices larger: 16 of 12x12
+        (complete_graph_model(3), None),  # joint chain larger: 64x64 over 6x6 modes
+    ],
+    ids=["matrices-larger", "chain-larger"],
+)
+def test_size_check_boundary_is_the_larger_array(monkeypatch, model, scope):
+    m = mode_count(model, scope)
+    dim = build_mode_family(model, scope).state_dim
+    larger = 8 * m * max(dim * dim, m)
+    monkeypatch.setattr(linalg, "BYTE_CAP", larger)
+    assert build_mode_family(model, scope).mode_count == m
+    monkeypatch.setattr(linalg, "BYTE_CAP", larger - 1)
+    monkeypatch.setattr(switched, "_assemble", fail_assembly)
+    with pytest.raises(SizeLimitError):
+        build_mode_family(model, scope)
 
 
 def test_size_limit_on_family_entries():
@@ -277,3 +319,77 @@ def test_size_limit_on_family_entries():
     model = DncsModel(n_agents=3, n=n, tau_d=3, blocks=blocks, chain=chain)
     with pytest.raises(SizeLimitError):
         build_mode_family(model)
+
+
+# ---------------------------------------------------------------------------
+# Golden family bytes
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def lone_agent_model():
+    """One agent, no links, tau_d = 0: a single 2x2 mode and a 1x1 chain."""
+    chain = DelayChain(P=[[1.0]], pi0=[1.0])
+    return DncsModel(n_agents=1, n=2, tau_d=0,
+                     blocks={(1, 1): np.array([[0.5, 0.1], [0.0, 0.3]])}, chain=chain)
+
+
+# SHA-256 of the little-endian float64 bytes of matrices, joint_P and joint_pi0
+# of each family, as the one-mode-at-a-time assembly produced them.
+FAMILY_DIGESTS = {
+    "pair global": (
+        lambda gen: (pair_model(c21=0.2), None),
+        "3db00884bdec534308ebd07b1b4c6102aa1e37af468caa64cb29119a23b90349",
+        "c68b23194102001f1c75662481333e4d75ba9b17c4dffc307ac2f260e4eaf076",
+        "41e57a811ac9776a5931d1ac2f1f354df344c042329b13e20b4b516db8b78410",
+    ),
+    "pendulum16 agent 1": (
+        lambda gen: (build_pendulum_model(16), 1),
+        "4b0220cd4d9f4f879bcade70e886437c07b24e40b2098130874baffe5bf37c0a",
+        "1d135deb5034afa512832aecaaa0acf2b6d86613757cbbbea52dba2c6f95f8c1",
+        "41e57a811ac9776a5931d1ac2f1f354df344c042329b13e20b4b516db8b78410",
+    ),
+    "pendulum16 agent 2": (
+        lambda gen: (build_pendulum_model(16), 2),
+        "f31fb4d56308204a56f0b684f9c7d08c9223762ca07050e78c4ac9ec74b3256f",
+        "98b567b6f6513ae5577035be6e47d401d96939d018522ce6e56511ee80d9533c",
+        "6f530519c9b447b4e9100226699ca3bab488a5560a735ceeb278bcbf531e9ab9",
+    ),
+    "pendulum tau2 agent 2": (
+        lambda gen: (load_model(gen.to_json(gen.pendulum_tau2_model())), 2),
+        "d6b2a03621161f67874f9480c49bfb511638e7bdd74d45245e0b0696a00f79e7",
+        "0c483f070f0e8078169ceae4e3cd9ff8b889b4ef3fa9895c2cf8376c53190970",
+        "7451833a96a7c8ce94c4fb67edf90a4ec361fc12be39911765ebdf4795d41e61",
+    ),
+    "ladder agent 1": (
+        lambda gen: (load_model(gen.to_json(gen.ladder_model(0))), 1),
+        "7f5cc49abfba72d98bddaccffa2806425d964b67c5546c18c9f55f5ca7387ad1",
+        "826431afee7e7edd91494083115ce360d8b568c4c2d36377b38ba253ffa978fd",
+        "0f6735e341e57b2830b43b3e959895b922cf30c43066cc112e94e629ca036265",
+    ),
+    "pendulum5 global": (
+        lambda gen: (build_pendulum_model(5), None),
+        "5156dff8b5016c01da004c4066a37718d37e121e0c1884a203e9b787c80387bb",
+        "5252b74cb9225527ba65d46245f92b210208414da4fb7a633f9a30b32f871255",
+        "314d7de9eebf659e5ca3c908826c69ce40eed13e841325bd09050e3612c60277",
+    ),
+    "lone tau0 global": (
+        lambda gen: (lone_agent_model(), None),
+        "f17893203b1d030c73a8b870ae42688d19dfbec20a5dd436b527490bc978eec5",
+        "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+        "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_DIGESTS))
+def test_family_bytes_match_golden_digests(monkeypatch, case):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    make, *expected = FAMILY_DIGESTS[case]
+    fam = build_mode_family(*make(importlib.import_module("gen")))
+    got = [
+        hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+        for a in (fam.matrices, fam.joint_P, fam.joint_pi0)
+    ]
+    assert got == expected
