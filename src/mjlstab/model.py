@@ -270,11 +270,15 @@ def _kronecker_radius(model: DncsModel) -> float | None:
     w_ij * K then misses the block by a few ulps (at most 1.9 eps |w_ij|
     max|K| measured on seeded uniform weights, n up to 4). That difference
     is of the order of rounding the network matrix itself, below the
-    backward error of any eigensolver. The dense N x N matrix W and the copy
-    `eigvalsh` makes of it count against `linalg.BYTE_CAP`.
+    backward error of any eigensolver.
+
+    A W that is a uniform path in agent order (every coupling (i, i +- 1)
+    stored, no other, all weights bitwise one w) has the eigenvalues
+    2 w cos(k pi / (N + 1)), k = 1..N (Brouwer & Haemers, Spectra of
+    Graphs, 2012, 1.4.4), so a chain needs no N x N array. Any other W is
+    built dense for `eigvalsh`; it and the copy `eigvalsh` makes of it
+    count against `linalg.BYTE_CAP`.
     """
-    if 2 * model.n_agents ** 2 * 8 > linalg.BYTE_CAP:
-        return None
     keys = np.array(list(model.blocks)) - 1
     vals = np.stack(list(model.blocks.values()))
     diag = keys[:, 0] == keys[:, 1]
@@ -288,11 +292,19 @@ def _kronecker_radius(model: DncsModel) -> float | None:
     tol = 4 * np.finfo(float).eps * np.abs(weights * k[at])
     if not (np.abs(off - weights[:, None, None] * k) <= tol[:, None, None]).all():
         return None
-    w = np.zeros((model.n_agents, model.n_agents))
-    w[off_keys[:, 0], off_keys[:, 1]] = weights
-    if not (w == w.T).all():
-        return None
-    lam = np.linalg.eigvalsh(w)
+    n_agents = model.n_agents
+    if (len(weights) == 2 * (n_agents - 1) > 0
+            and (np.abs(off_keys[:, 0] - off_keys[:, 1]) == 1).all()
+            and (weights == weights[0]).all()):
+        lam = 2 * weights[0] * np.cos(np.pi * np.arange(1, n_agents + 1) / (n_agents + 1))
+    else:
+        if 2 * n_agents ** 2 * 8 > linalg.BYTE_CAP:
+            return None
+        w = np.zeros((n_agents, n_agents))
+        w[off_keys[:, 0], off_keys[:, 1]] = weights
+        if not (w == w.T).all():
+            return None
+        lam = np.linalg.eigvalsh(w)
     return float(np.max(np.abs(np.linalg.eigvals(c + lam[:, None, None] * k))))
 
 
@@ -308,8 +320,10 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     spec(C + lambda K) over the eigenvalues lambda of W (Fax & Murray, IEEE
     TAC 2004; Massioni & Verhaegen, IEEE TAC 2009). That holds for
     disconnected graphs and isolated agents too (lambda = 0 gives spec(C)).
-    Symmetric W gives real lambda from `eigvalsh`, and C + lambda K is one
-    n x n eigensolve each.
+    A uniform path W (a chain numbered in order, such as the pendulum)
+    has its lambda in closed form; any other symmetric W gives real lambda
+    from `eigvalsh` of the dense N x N matrix. C + lambda K is one n x n
+    eigensolve each.
 
     Every other model takes `spectral_radius` of its dense matrix up to
     QR_CUTOFF rows. Above, it is split into the strongly connected

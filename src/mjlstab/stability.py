@@ -253,18 +253,29 @@ def dedup_agents(model: DncsModel) -> list[list[int]]:
     neighborhoods (mapping center to center) carries every stored block of
     one exactly onto the corresponding block of the other. Each class can
     then be analyzed through a single representative.
+
+    The canonical signature is a function of an agent's exact local
+    structure and its center's position in the sorted neighborhood, so its
+    permutation search runs once per distinct pair of the two.
     """
+    signatures: dict = {}
     groups: dict = {}
     for agent in range(1, model.n_agents + 1):
-        signature = _canonical_signature(model, agent)
-        groups.setdefault(signature, []).append(agent)
+        nb = neighborhood(model, agent)
+        links = enumerate_links(model, agent)
+        pos = {a: k for k, a in enumerate(nb)}
+        key = (_structure(model, nb, links, pos), pos[agent])
+        if key not in signatures:
+            signatures[key] = _canonical_signature(model, agent, nb, links)
+        groups.setdefault(signatures[key], []).append(agent)
     return sorted(groups.values(), key=min)
 
 
-def _canonical_signature(model: DncsModel, agent: int):
-    nb = neighborhood(model, agent)
+def _canonical_signature(model: DncsModel, agent: int, nb, links):
+    """The least `_structure` of the neighborhood `nb` over every labeling
+    that puts `agent` at position 0 (only the sorted order above
+    _CANONICAL_LIMIT other members)."""
     others = [a for a in nb if a != agent]
-    links = enumerate_links(model, agent)
     if len(others) <= _CANONICAL_LIMIT:
         orderings = itertools.permutations(others)
     else:

@@ -428,6 +428,27 @@ def symmetric_weighted_model(seed: int, n_agents: int, n: int, isolated: int,
     return static_model(n_agents, n, blocks)
 
 
+def path_model(n: int, weights, order=None, seed: int = 5) -> DncsModel:
+    """Seeded homogeneous chain: one diagonal block C and couplings
+    w_k * K both ways between its k-th and (k+1)-th agents, which are agents
+    k and k + 1 unless `order` lists them."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-0.5, 0.5, (n, n))
+    k = rng.uniform(-0.5, 0.5, (n, n))
+    n_agents = len(weights) + 1
+    order = list(order) if order is not None else list(range(1, n_agents + 1))
+    blocks = {(i, i): c for i in order}
+    for a, b, w in zip(order, order[1:], weights):
+        blocks[(a, b)] = blocks[(b, a)] = w * k
+    return static_model(n_agents, n, blocks)
+
+
+def _unequal_path() -> DncsModel:
+    weights = [0.37] * 299
+    weights[150] = -0.21
+    return path_model(3, weights)
+
+
 @pytest.fixture
 def general_path_calls(monkeypatch):
     """Names of the general nominal path's solvers, appended on each call."""
@@ -449,6 +470,8 @@ KRONECKER = {
     "uniform_n3": lambda: symmetric_weighted_model(3, 300, 3, isolated=10, uniform=True),
     "pendulum": lambda: build_pendulum_model(300),
     "pendulum_uncoupled": lambda: build_pendulum_model(300, params=PendulumParams(coupling=0.0)),
+    "path_uniform_n3": lambda: path_model(3, [0.37] * 299),
+    "path_unequal_n3": _unequal_path,
 }
 
 
@@ -468,6 +491,8 @@ SMALL_HOMOGENEOUS = {
     "pair": two_agent_model,
     "disconnected": lambda: symmetric_weighted_model(4, 12, 2, isolated=3, uniform=True),
     "uncoupled": lambda: build_pendulum_model(4, params=PendulumParams(coupling=0.0)),
+    "chain_2": lambda: build_pendulum_model(2),
+    "chain_3": lambda: path_model(3, [-0.7, -0.7]),
 }
 
 
@@ -545,16 +570,72 @@ def test_inhomogeneous_nominal_takes_general_path(name, general_path_calls):
 def test_kronecker_path_respects_state_byte_cap(monkeypatch, general_path_calls):
     from mjlstab import linalg
 
-    model = build_pendulum_model(300)
-    need = 2 * 300 ** 2 * 8  # W and the copy eigvalsh makes of it
+    model = symmetric_weighted_model(0, 300, 2, isolated=10)
+    need = 2 * model.n_agents ** 2 * 8  # W and the copy eigvalsh makes of it
     monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
     rho, _ = nominal_stability(model)
-    assert general_path_calls == ["_strong_components", "sparse_spectral_radius"]
+    # isolated agents and small components take spectral_radius, the large
+    # component ARPACK
+    assert general_path_calls[0] == "_strong_components"
+    assert set(general_path_calls[1:]) == {"spectral_radius", "sparse_spectral_radius"}
     assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
     general_path_calls.clear()
     monkeypatch.setattr(linalg, "BYTE_CAP", need)
     nominal_stability(model)
     assert general_path_calls == []
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Sizes of the matrices passed to np.linalg.eigvalsh, one per call."""
+    calls = []
+
+    def spy(a, *args, _real=np.linalg.eigvalsh, **kwargs):
+        calls.append(len(a))
+        return _real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+CHAINS = {
+    "pendulum": lambda: build_pendulum_model(300),
+    "path_uniform_n3": KRONECKER["path_uniform_n3"],
+    "chain_3": SMALL_HOMOGENEOUS["chain_3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_uniform_chain_needs_no_weight_matrix(name, monkeypatch, eigvalsh_calls,
+                                              general_path_calls):
+    # the path's eigenvalues are closed form, so no N x N array is built:
+    # a cap below one such array changes nothing
+    from mjlstab import linalg
+
+    model = CHAINS[name]()
+    rho, _ = nominal_stability(model)
+    monkeypatch.setattr(linalg, "BYTE_CAP", model.n_agents ** 2 * 8 - 1)
+    assert nominal_stability(model)[0] == rho
+    assert eigvalsh_calls == []
+    assert general_path_calls == []
+
+
+NON_PATHS = {
+    "path_unequal_n3": _unequal_path,
+    # the uniform chain with its agents numbered out of chain order
+    "path_shuffled": lambda: path_model(
+        2, [0.37] * 299, order=np.random.default_rng(6).permutation(300) + 1),
+    "single": SMALL_HOMOGENEOUS["single"],
+    "uncoupled": SMALL_HOMOGENEOUS["uncoupled"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_PATHS))
+def test_other_weights_take_eigvalsh(name, eigvalsh_calls, general_path_calls):
+    model = NON_PATHS[name]()
+    rho, _ = nominal_stability(model)
+    assert eigvalsh_calls == [model.n_agents]
+    assert general_path_calls == []
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
 
 
 def test_pendulum_param_overrides_shape_coupling():

@@ -6,6 +6,7 @@ from mjlstab.model import DelayChain, DncsModel, PendulumParams, build_pendulum_
 from mjlstab.stability import (
     MARGINAL_BAND,
     ScopeResult,
+    _local_structure,
     _overall,
     block_norm_sufficient,
     covariance_init,
@@ -283,6 +284,25 @@ def test_dedup_is_relabel_aware_not_order_sensitive():
     chain = DelayChain(P=[[0.5, 0.5], [0.5, 0.5]], pi0=[1.0, 0.0])
     model = DncsModel(n_agents=3, n=1, tau_d=1, blocks=blocks, chain=chain)
     assert dedup_agents(model) == [[1, 3], [2]]
+
+
+def test_dedup_tells_apart_mirror_images_with_equal_local_structure():
+    # agent 1 receives 0.1 from agent 2 and agent 2 receives 0.2 from agent 1:
+    # the sorted neighborhood {1, 2} and its blocks are the same for both
+    # agents, but relabeling one center onto the other swaps the couplings
+    blocks = {
+        (1, 1): np.array([[0.5]]),
+        (2, 2): np.array([[0.5]]),
+        (1, 2): np.array([[0.1]]),
+        (2, 1): np.array([[0.2]]),
+    }
+    chain = DelayChain(P=[[0.5, 0.5], [0.5, 0.5]], pi0=[1.0, 0.0])
+    model = DncsModel(n_agents=2, n=1, tau_d=1, blocks=blocks, chain=chain)
+    assert _local_structure(model, 1) == _local_structure(model, 2)
+    assert dedup_agents(model) == [[1], [2]]
+    mirrored = {**blocks, (2, 1): blocks[(1, 2)]}
+    model = DncsModel(n_agents=2, n=1, tau_d=1, blocks=mirrored, chain=chain)
+    assert dedup_agents(model) == [[1, 2]]
 
 
 # ---------------------------------------------------------------------------
