@@ -118,9 +118,7 @@ def _load_family(path: str) -> ModeFamily:
         raise ModelError(f"family document: invalid JSON: {exc}")
     if not isinstance(doc, dict) or "matrices" not in doc or "P" not in doc:
         raise ModelError("family document: expected object with 'matrices' and 'P'")
-    return ModeFamily.from_matrices(
-        doc["matrices"], doc["P"], pi0=doc.get("pi0"), scope="family"
-    )
+    return ModeFamily.from_matrices(doc["matrices"], doc["P"], pi0=doc.get("pi0"))
 
 
 def _model_source(args, allow_family: bool):

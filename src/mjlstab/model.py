@@ -114,8 +114,10 @@ class PendulumParams:
     a_mid: float = 2.0
 
     def __post_init__(self):
-        for name in ("gravity", "gain", "mass", "length", "dt", "a_end", "a_mid"):
-            if getattr(self, name) <= 0:
+        for name in ("gravity", "gain", "mass", "length", "dt", "coupling", "a_end", "a_mid"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(f"pendulum parameter {name} must be finite")
+            if name != "coupling" and getattr(self, name) <= 0:
                 raise ModelError(f"pendulum parameter {name} must be positive")
         if self.coupling < 0:
             raise ModelError("pendulum parameter coupling must be non-negative")
@@ -333,9 +335,10 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     isolated agents), whose nilpotent or defective spectra ARPACK cannot
     resolve, to small exact eigensolves. A component up to QR_CUTOFF rows
     goes through `spectral_radius` of its dense matrix; a larger one through
-    ARPACK on its block-sparse matrix, falling back to all eigenvalues of its
-    dense matrix when ARPACK fails (for instance on many eigenvalues of top
-    modulus).
+    ARPACK on its block-sparse matrix, falling back to `spectral_radius` of
+    its dense matrix when ARPACK fails (for instance on many eigenvalues of
+    top modulus); that matrix and the eigensolver's copy count against
+    `linalg.BYTE_CAP`.
     """
     rho = _kronecker_radius(model)
     if rho is not None:
@@ -351,8 +354,10 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
         else:
             try:
                 r = sparse_spectral_radius(sub)
-            except ArithmeticError:
-                r = float(np.max(np.abs(np.linalg.eigvals(sub.toarray()))))
+            except ArithmeticError as exc:
+                what = f"nominal check: the dense fallback for a {sub.shape[0]}-row component"
+                linalg.check_bytes(2 * 8 * sub.shape[0] ** 2, what, f" after {exc}")
+                r = spectral_radius(sub.toarray())
         rho = max(rho, r)
     return rho, rho < 1.0
 

@@ -1,6 +1,6 @@
 """Robustness of the stability verdict to transition-matrix uncertainty.
 
-Given a mode family and a nominal chain, a sufficient condition says the
+Given a mode family and its joint chain, a sufficient condition says the
 perturbed system stays mean-square stable whenever, for every column s,
 sum_r alpha_r |dp_rs| < beta_s, where beta_s is the nominal margin of that
 column and alpha_r how much a unit of probability moved into mode r uses of
@@ -53,9 +53,8 @@ import numpy as np
 
 from .linalg import spectral_radius
 from .lp import lp_solve
-from .stability import _check_nominal, alphas, betas, mss_matrix, scope_radius
-from .stability import second_moment_map
-from .switched import ModeFamily
+from .stability import alphas, betas, mss_matrix, scope_radius, second_moment_map
+from .switched import ModeFamily, _check_chain
 
 # The weighting V sums K = _SERIES_TERMS powers of L at c = rho (1 + _C_GAP).
 # Both only set how tight the margins are: beta and alpha are computed
@@ -70,7 +69,6 @@ class BoundsInfeasibleError(RuntimeError):
 
 def solve_bound_lp(
     family: ModeFamily,
-    nominal=None,
     direction: str = "upper",
     margin: float = 0.0,
     *,
@@ -81,9 +79,9 @@ def solve_bound_lp(
 
     For each column s, maximize (direction="upper") or minimize ("lower")
     sum_r z_r subject to sum_r alpha_r z_r <= beta_s - margin and the box
-    -nominal[r, s] <= z_r <= 1 - nominal[r, s]. Columns are independent;
-    one `lp_solve` call solves them all and returns the per-column
-    optimizers as the columns of an m x m array.
+    -P[r, s] <= z_r <= 1 - P[r, s] around the family's chain P. Columns are
+    independent; one `lp_solve` call solves them all and returns the
+    per-column optimizers as the columns of an m x m array.
     alpha and beta default to the infinity-norm certificate; weighted_bounds
     passes its own.
 
@@ -92,12 +90,11 @@ def solve_bound_lp(
     """
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    m = family.mode_count
-    nominal = _check_nominal(family.joint_P if nominal is None else nominal, m)
+    m, p = family.mode_count, family.joint_P
     if alpha is None:
         alpha = alphas(family)
     if beta is None:
-        beta = betas(alpha, nominal)
+        beta = betas(alpha, p)
     if np.min(beta) <= margin:
         raise BoundsInfeasibleError(
             f"nominal chain fails the norm margin: min beta = {beta.min():.6g} "
@@ -105,7 +102,7 @@ def solve_bound_lp(
         )
 
     sign = 1.0 if direction == "upper" else -1.0
-    return lp_solve(np.full(m, sign), alpha, beta - margin, -nominal, 1.0 - nominal)
+    return lp_solve(np.full(m, sign), alpha, beta - margin, -p, 1.0 - p)
 
 
 def feasible_bound(z_lb, z_ub) -> np.ndarray:
@@ -139,20 +136,20 @@ class BoundResult:
         }
 
 
-def _two_step(family: ModeFamily, nominal, alpha, beta, margin: float) -> BoundResult:
+def _two_step(family: ModeFamily, alpha, beta, margin: float) -> BoundResult:
     """Both step-1 directions, then the step-2 eps, under the given alpha
     and beta; feasible=False with eps = 0 when some beta_s <= margin."""
     m = family.mode_count
     try:
-        z_ub = solve_bound_lp(family, nominal, "upper", margin, alpha=alpha, beta=beta)
+        z_ub = solve_bound_lp(family, "upper", margin, alpha=alpha, beta=beta)
     except BoundsInfeasibleError:
         zeros = np.zeros((m, m))
         return BoundResult(alpha, beta, zeros, zeros.copy(), np.zeros(m), False)
-    z_lb = solve_bound_lp(family, nominal, "lower", margin, alpha=alpha, beta=beta)
+    z_lb = solve_bound_lp(family, "lower", margin, alpha=alpha, beta=beta)
     return BoundResult(alpha, beta, z_ub, z_lb, feasible_bound(z_lb, z_ub), True)
 
 
-def compute_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> BoundResult:
+def compute_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     """Full pipeline: alphas, betas, both LP directions, then eps.
 
     When some beta_s <= margin the nominal chain sits outside the
@@ -160,9 +157,8 @@ def compute_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> Bou
     eps = 0 (the condition is only sufficient, so the exact spectral test may
     still pass there).
     """
-    nominal = family.joint_P if nominal is None else nominal
     alpha = alphas(family)
-    return _two_step(family, nominal, alpha, betas(alpha, nominal), margin)
+    return _two_step(family, alpha, betas(alpha, family.joint_P), margin)
 
 
 def _top_eig(m, v) -> np.ndarray:
@@ -173,7 +169,7 @@ def _top_eig(m, v) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (b + np.swapaxes(b, -1, -2)))[..., -1]
 
 
-def weighted_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> BoundResult:
+def weighted_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     """Two-step bounds under the coupled-Lyapunov certificate.
 
     Builds V = sum_{k<K} L^k(I) / c^k with c just above the spectral radius
@@ -186,20 +182,19 @@ def weighted_bounds(family: ModeFamily, nominal=None, margin: float = 0.0) -> Bo
     feasible=False with eps = 0.
     """
     m, d = family.mode_count, family.state_dim
-    nominal = _check_nominal(family.joint_P if nominal is None else nominal, m)
-    rho = scope_radius(family, nominal)
+    rho = scope_radius(family)
     # the floor keeps V well conditioned when L is nilpotent (rho = 0)
     c = (1.0 + _C_GAP) * max(rho, 1e-3)
     term = np.broadcast_to(np.eye(d), (m, d, d))
     v = term.copy()
     for _ in range(_SERIES_TERMS - 1):
-        term = second_moment_map(family, term, nominal) / c
+        term = second_moment_map(family, term) / c
         v += term
     w = family.matrices
     pushed = w @ v @ w.transpose(0, 2, 1)  # W_r V_r W_r^T
-    beta = 1.0 - _top_eig(second_moment_map(family, v, nominal), v)
+    beta = 1.0 - _top_eig(second_moment_map(family, v), v)
     alpha = _top_eig(pushed[:, None], v[None, :]).max(axis=1)
-    result = _two_step(family, nominal, alpha, beta, margin)
+    result = _two_step(family, alpha, beta, margin)
     load = float(alpha @ result.eps)
     budget = float(np.min(beta)) - margin
     if result.feasible and load > budget:
@@ -239,7 +234,7 @@ def robust_sufficient(family: ModeFamily, nominal, delta) -> bool:
     nothing either way.
     """
     m = family.mode_count
-    nominal = _check_nominal(nominal, m)
+    nominal = _check_chain(nominal, m, "nominal chain")
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (m, m):
         raise ValueError(f"delta: expected ({m}, {m}), got {delta.shape}")
@@ -265,7 +260,7 @@ def grid_scan_max_rho(
     m = family.mode_count
     if m != 2:
         raise ValueError("grid scan is implemented for 2-mode chains only")
-    nominal = _check_nominal(nominal, m)
+    nominal = _check_chain(nominal, m, "nominal chain")
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (2,):
         raise ValueError("eps must have one entry per mode")

@@ -31,7 +31,7 @@ import numpy as np
 from .linalg import ARPACK_NCV, QR_CUTOFF, check_bytes, inf_norm, spectral_radius
 from .linalg import sparse_spectral_radius
 from .model import DncsModel, neighborhood
-from .switched import ModeFamily, build_mode_family, enumerate_links
+from .switched import ModeFamily, _check_chain, build_mode_family, enumerate_links
 
 # Spectral radii within this distance of 1 are reported as "marginal" rather
 # than being forced into a stable/unstable boolean.
@@ -150,7 +150,7 @@ def _scope_result(family: ModeFamily) -> ScopeResult:
     )
 
 
-def scope_radius(family: ModeFamily, transition=None) -> float:
+def scope_radius(family: ModeFamily) -> float:
     """Spectral radius of the second-moment operator L of one scope.
 
     At every size this is first `_cone_radius`, matrix free. When that does
@@ -161,10 +161,10 @@ def scope_radius(family: ModeFamily, transition=None) -> float:
     state, m*d^2 float64s times ARPACK's Krylov size plus two, would exceed
     `linalg.BYTE_CAP`.
     """
-    return _solve_scope(family, transition)[0]
+    return _solve_scope(family)[0]
 
 
-def _solve_scope(family: ModeFamily, transition=None) -> tuple[float, str]:
+def _solve_scope(family: ModeFamily) -> tuple[float, str]:
     """`scope_radius` and the solver that produced it: "cone", "dense" or
     "arpack"."""
     m, d = family.mode_count, family.state_dim
@@ -173,20 +173,20 @@ def _solve_scope(family: ModeFamily, transition=None) -> tuple[float, str]:
         check_bytes(8 * dim * (ARPACK_NCV + 2),
                     f"scope {family.label}: the spectral test's solver state",
                     "; try --dedup or a sparser neighborhood")
-    rho = _cone_radius(family, transition)
+    rho = _cone_radius(family)
     if rho is not None:
         return rho, "cone"
     if dim <= QR_CUTOFF:
-        return spectral_radius(mss_matrix(family, transition).matrix), "dense"
+        return spectral_radius(mss_matrix(family).matrix), "dense"
     from scipy.sparse.linalg import LinearOperator
 
     def apply(v):
-        return second_moment_map(family, v.reshape(m, d, d), transition).ravel()
+        return second_moment_map(family, v.reshape(m, d, d)).ravel()
 
     return sparse_spectral_radius(LinearOperator((dim, dim), matvec=apply, dtype=float)), "arpack"
 
 
-def _cone_radius(family: ModeFamily, transition=None) -> float | None:
+def _cone_radius(family: ModeFamily) -> float | None:
     """Spectral radius of L by power iteration from the stacked identities,
     or None when it does not settle within _CONE_MAX_ITER steps.
 
@@ -206,7 +206,7 @@ def _cone_radius(family: ModeFamily, transition=None) -> float | None:
     growth = step = change = 0.0
     passed = stalled = 0
     for _ in range(_CONE_MAX_ITER):
-        y = second_moment_map(family, x, transition)
+        y = second_moment_map(family, x)
         prev, growth = growth, float(np.trace(y, axis1=1, axis2=2).sum())
         if growth == 0.0:
             return 0.0
@@ -359,17 +359,7 @@ def betas(alpha, nominal) -> np.ndarray:
     norm-certifiable region.
     """
     alpha = np.asarray(alpha, dtype=float)
-    nominal = _check_nominal(nominal, alpha.shape[0])
-    return 1.0 - alpha @ nominal
-
-
-def _check_nominal(nominal, m: int) -> np.ndarray:
-    p = np.asarray(nominal, dtype=float)
-    if p.shape != (m, m):
-        raise ValueError(f"nominal chain: expected ({m}, {m}), got {p.shape}")
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("nominal chain is not row-stochastic")
-    return p
+    return 1.0 - alpha @ _check_chain(nominal, alpha.shape[0], "nominal chain")
 
 
 def block_norm_sufficient(family: ModeFamily, transition=None) -> bool:
@@ -406,18 +396,17 @@ def covariance_init(family: ModeFamily) -> CovarianceState:
     return CovarianceState(Q=q0, pi=family.joint_pi0.copy(), k=0)
 
 
-def second_moment_map(family: ModeFamily, q, transition=None) -> np.ndarray:
+def second_moment_map(family: ModeFamily, q) -> np.ndarray:
     """The second-moment operator: L(Q)_s = sum_r P[r, s] W_r Q_r W_r^T.
 
     The test matrix is this map written out densely, so its spectral radius
-    decides stability. `transition` overrides the family's joint chain, as in
-    mss_matrix.
+    decides stability. P is the family's joint chain; to apply L at another
+    chain, pass `dataclasses.replace(family, joint_P=p)`.
     """
-    p = family.joint_P if transition is None else np.asarray(transition, dtype=float)
     w = family.matrices
     m, d = w.shape[:2]
     pushed = (w @ q @ w.transpose(0, 2, 1)).reshape(m, -1)
-    return (p.T @ pushed).reshape(m, d, d)
+    return (family.joint_P.T @ pushed).reshape(m, d, d)
 
 
 def covariance_step(family: ModeFamily, state: CovarianceState) -> CovarianceState:

@@ -160,13 +160,26 @@ def build_mode_matrix(
     return _assemble(model, _scope_agents(model, scope), links, digits)[0]
 
 
+def _check_chain(p, m: int, label: str) -> np.ndarray:
+    """`p` as a finite row-stochastic m x m float array; errors name it `label`."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (m, m):
+        raise ValueError(f"{label}: expected ({m}, {m}), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{label}: non-finite entries")
+    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError(f"{label} is not row-stochastic")
+    return p
+
+
 @dataclass(eq=False)
 class ModeFamily:
     """All mode matrices of one scope plus the matching joint delay chain.
 
     matrices[idx] is the mode whose DelayConfig index is idx; joint_P is the
     Kronecker power of the per-link transition matrix under the same digit
-    ordering, and joint_pi0 the matching initial distribution.
+    ordering, and joint_pi0 the matching initial distribution. The operator
+    and the bounds read only this chain: `dataclasses.replace` swaps it.
     """
 
     scope: object
@@ -177,21 +190,19 @@ class ModeFamily:
 
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=float)
-        jp = np.asarray(self.joint_P, dtype=float)
         pi0 = np.asarray(self.joint_pi0, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"matrices: expected (m, d, d), got {mats.shape}")
         m, d, _ = mats.shape
         if d != self.state_dim:
             raise ValueError(f"state_dim {self.state_dim} != matrix dim {d}")
-        if jp.shape != (m, m):
-            raise ValueError(f"joint_P: expected ({m}, {m}), got {jp.shape}")
-        if np.any(jp < -1e-12) or np.any(np.abs(jp.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("joint_P is not row-stochastic")
-        if pi0.shape != (m,) or abs(pi0.sum() - 1.0) > 1e-9 or np.any(pi0 < -1e-12):
+        if not np.isfinite(mats).all():
+            raise ValueError("matrices: non-finite entries")
+        self.joint_P = _check_chain(self.joint_P, m, "joint_P")
+        # written so that a NaN sum fails too
+        if pi0.shape != (m,) or not abs(pi0.sum() - 1.0) <= 1e-9 or np.any(pi0 < -1e-12):
             raise ValueError("joint_pi0 is not a distribution")
         self.matrices = mats
-        self.joint_P = jp
         self.joint_pi0 = pi0
 
     @property
@@ -207,9 +218,10 @@ class ModeFamily:
         return str(self.scope)
 
     @classmethod
-    def from_matrices(cls, matrices, transition, pi0=None, scope="family") -> "ModeFamily":
+    def from_matrices(cls, matrices, transition, pi0=None) -> "ModeFamily":
         """Wrap a raw list of mode matrices and transition matrix (no delay
-        structure), e.g. for a hand-specified jump-linear system."""
+        structure) as scope "family", e.g. for a hand-specified jump-linear
+        system."""
         mats = np.asarray(matrices, dtype=float)
         if mats.ndim != 3:
             raise ValueError("matrices must be a list of square matrices")
@@ -217,7 +229,7 @@ class ModeFamily:
         if pi0 is None:
             pi0 = np.full(m, 1.0 / m)
         return cls(
-            scope=scope,
+            scope="family",
             state_dim=mats.shape[1],
             matrices=mats,
             joint_P=np.asarray(transition, dtype=float),

@@ -160,6 +160,35 @@ def test_invalid_model_document(capsys, tmp_path):
     assert "invalid JSON" in doc["error"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["coupling", "gravity", "dt"])
+def test_non_finite_pendulum_parameter_is_rejected(capsys, name, value):
+    code, doc = run(capsys, "analyze", "--pendulum", "4", "--param", f"{name}={value}")
+    assert code == 1
+    assert doc["error"] == f"pendulum parameter {name} must be finite"
+
+
+# one non-finite entry per document field, and the ModeFamily field it names
+NON_FINITE_FAMILIES = {
+    "P-nan": ({**SCALAR_FAMILY, "P": [[float("nan")] * 2, [0.5, 0.5]]}, "joint_P"),
+    "P-inf": ({**SCALAR_FAMILY, "P": [[float("inf"), 0.0], [0.5, 0.5]]}, "joint_P"),
+    "matrices-nan": ({"matrices": [[[float("nan")]]], "P": [[1.0]]}, "matrices"),
+    "pi0-nan": ({**SCALAR_FAMILY, "pi0": [float("nan"), 0.5]}, "joint_pi0"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "robust"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FAMILIES))
+def test_non_finite_family_is_rejected(capsys, tmp_path, command, case):
+    doc, name = NON_FINITE_FAMILIES[case]
+    code = main([command, "--family", family_file(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["error"].startswith(name)
+    assert "NaN" not in out and "Infinity" not in out
+
+
 def test_invalid_family_document(capsys, tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"matrices": [[[0.5]]]}))
@@ -265,6 +294,48 @@ def test_simulate_csv_matches_golden_digest(capsys, tmp_path, trials):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[trials]
+
+
+def seeded_family():
+    """Six 2x2 modes under a near-uniform chain whose infinity-norm margins
+    are all positive, so `robust --family` runs both bound LPs."""
+    rng = np.random.default_rng(11)
+    mats = rng.standard_normal((6, 2, 2))
+    norms = np.abs(mats).sum(axis=2).max(axis=1)
+    mats *= (np.sqrt(rng.uniform(0.2, 0.6, size=6)) / norms)[:, None, None]
+    p = rng.dirichlet(np.full(6, 20.0), size=6)
+    return {"matrices": mats.tolist(), "P": p.tolist(), "pi0": rng.dirichlet(np.ones(6)).tolist()}
+
+
+# sha256 of the whole stdout of each call. They pin the report bytes across
+# versions, so a change that only moves code around shows it moved no bit.
+GOLDEN_STDOUT_SHA256 = {
+    "analyze-pendulum-16": (("analyze", "--pendulum", "16"),
+        "3fe900b320c4e2713ef6ccf970dea62a93ffc192d299237a47e3d1078380d1a0"),
+    "analyze-pendulum-200-dedup": (("analyze", "--pendulum", "200", "--dedup"),
+        "8708916dc6b1b7a54fa7d16857298c9aabdb8b4b2cd9fa25d5e8b32bb39a29de"),
+    "robust-pendulum-16": (("robust", "--pendulum", "16"),
+        "9d558d5ec40a5863763f9b9b60bc1f5a1530876d480eeb13bd7869b892a330e3"),
+    "inspect-pendulum-16": (("inspect", "--pendulum", "16"),
+        "db4810606add143b5f7f1e23b1e6a3e7bbabc223f8659ce80d7ae80c6fec57c7"),
+    "analyze-family": (("analyze", "--family"),
+        "ad42317d4a0b9f915b98064b990721baad12905b15d4b6e0cd20910a83a90d30"),
+    "robust-family": (("robust", "--family"),
+        "f890ad9a023784e7032e6e0b5da3e2646913dde37b80601dbf613a2a3d41384d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STDOUT_SHA256))
+def test_stdout_matches_golden_digest(capsys, tmp_path, case):
+    argv, digest = GOLDEN_STDOUT_SHA256[case]
+    if argv[-1] == "--family":
+        argv += (family_file(tmp_path, seeded_family()),)
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    if argv[0] == "robust":
+        assert all(c["feasible"] for c in json.loads(out)["classes"]) == (case == "robust-family")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def overflow_ring(n_agents=4, a=1e30, c=1e30):

@@ -585,6 +585,31 @@ def test_kronecker_path_respects_state_byte_cap(monkeypatch, general_path_calls)
     assert general_path_calls == []
 
 
+def test_nominal_dense_fallback_respects_byte_cap(monkeypatch):
+    import mjlstab.model as model_module
+    from mjlstab import linalg
+
+    # a directed ring of 4 agents: one strongly connected 8-row component,
+    # taken past the dense cutoff to ARPACK, which fails here
+    model = static_model(4, 2, {**{(i, i): _rotation(0.5, 0.1 * i) for i in range(1, 5)},
+                                **{(i, i % 4 + 1): 0.1 * _EYE for i in range(1, 5)}})
+
+    def fail(op):
+        raise ArithmeticError("ARPACK failed: no convergence")
+
+    monkeypatch.setattr(model_module, "QR_CUTOFF", 2)
+    monkeypatch.setattr(model_module, "sparse_spectral_radius", fail)
+    need = 2 * 8 * 8 ** 2  # the dense matrix and the eigensolver's copy
+    monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
+    with pytest.raises(linalg.SizeLimitError) as info:
+        nominal_stability(model)
+    for part in ("8-row component", f"{need} bytes", f"cap {need - 1}", "ARPACK failed: no convergence"):
+        assert part in str(info.value)
+    monkeypatch.setattr(linalg, "BYTE_CAP", need)
+    rho, _ = nominal_stability(model)
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-12)
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """Sizes of the matrices passed to np.linalg.eigvalsh, one per call."""

@@ -72,6 +72,8 @@ def test_betas_validate_nominal():
         betas([0.25, 1.5625], np.eye(3))
     with pytest.raises(ValueError, match="row-stochastic"):
         betas([0.25, 1.5625], [[0.6, 0.6], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="nominal chain: non-finite"):
+        betas([0.25, 1.5625], [[np.nan, np.nan], [0.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,7 @@ def test_second_moment_map_is_test_matrix_at_any_chain():
     p /= p.sum(axis=1, keepdims=True)
     q = rng.normal(size=(3, 2, 2))
     stacked = np.concatenate([x.reshape(-1, order="F") for x in q])
-    mapped = second_moment_map(fam, q, p)
+    mapped = second_moment_map(dataclasses.replace(fam, joint_P=p), q)
     expected = mss_matrix(fam, transition=p).matrix @ stacked
     assert np.allclose(
         np.concatenate([x.reshape(-1, order="F") for x in mapped]), expected,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 from pathlib import Path
@@ -197,6 +198,20 @@ def test_mode_family_validation():
     with pytest.raises(ValueError, match="state_dim"):
         ModeFamily(scope=None, state_dim=2, matrices=mats, joint_P=good_p,
                    joint_pi0=np.array([0.5, 0.5]))
+    # another chain for the same modes goes through the same checks
+    fam = ModeFamily.from_matrices(mats, good_p)
+    with pytest.raises(ValueError, match="joint_P is not row-stochastic"):
+        dataclasses.replace(fam, joint_P=[[0.5, 0.6], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["matrices", "joint_P", "joint_pi0"])
+def test_from_matrices_rejects_non_finite(name, bad):
+    args = {"matrices": np.full((2, 1, 1), 0.5), "joint_P": np.full((2, 2), 0.5),
+            "joint_pi0": np.full(2, 0.5)}
+    args[name].flat[0] = bad
+    with pytest.raises(ValueError, match=f"^{name}[: ]"):
+        ModeFamily.from_matrices(args["matrices"], args["joint_P"], pi0=args["joint_pi0"])
 
 
 def test_mode_family_labels():
