@@ -38,7 +38,6 @@ from .sim import (
     SimConfig,
     TrajectoryRecord,
     estimate_ms,
-    export_csv,
     mean_square_csv,
     simulate_trajectory,
     trajectory_csv,
@@ -102,7 +101,6 @@ __all__ = [
     "dump_model",
     "enumerate_links",
     "estimate_ms",
-    "export_csv",
     "grid_scan_max_rho",
     "inf_norm",
     "kron",

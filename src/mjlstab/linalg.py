@@ -1,18 +1,10 @@
 """Linear-algebra kernels shared by the analysis modules.
 
-Two spectral-radius solvers live here:
-
-- `spectral_radius` takes a dense numpy array and returns the largest
-  eigenvalue magnitude from a full QR eigensolve. The analysis uses it only
-  up to QR_CUTOFF rows, and only as a fallback: for a scope on which the
-  cone iteration does not settle, and for the nominal check of a network
-  that is not homogeneous. Besides, `robust.grid_scan_max_rho` scans with
-  it, and the tests use it as their oracle.
-- `sparse_spectral_radius` takes a scipy sparse array or `LinearOperator`
-  and runs ARPACK's implicitly restarted Arnoldi method (Lehoucq, Sorensen &
-  Yang, *ARPACK Users' Guide*, SIAM 1998) for the largest-modulus
-  eigenvalue. It imports scipy on first use, so importing this module (and
-  the CLI) stays numpy only.
+Two spectral-radius solvers, both numpy only: `krylov_radius` (restarted
+Arnoldi on a matrix-vector product) for every scope the cone iteration does
+not settle and every large component of the nominal check, and
+`spectral_radius` (dense QR) for small nominal checks, after Krylov gives up
+(`dense_radius`), in `robust.grid_scan_max_rho` and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -24,24 +16,15 @@ import numpy as np
 # reads it at call time.
 BYTE_CAP = 800_000_000
 
-# Largest dimension at which the scope test's fallback (when the cone
-# iteration does not settle) and the nominal check of a network that is not
-# homogeneous build a dense matrix for `spectral_radius`; above it they use
-# ARPACK.
+# Largest dimension at which the nominal check of a network that is not
+# homogeneous builds its dense matrix for `spectral_radius`; above it, it
+# runs `krylov_radius` on each strongly connected component.
 QR_CUTOFF = 512
 
-# Seed of the deterministic ARPACK start vector.
-_START_SEED = 0x5EED0
-
-# ARPACK Krylov subspace size and relative tolerance of `sparse_spectral_radius`
-# (tol 0 is machine precision). The homogeneous pendulum network no longer
-# reaches ARPACK (its nominal check is closed form), so the size was checked
-# on the 2000-row pendulum network with one diagonal entry moved by one ulp,
-# which does (2-core host): the default ncv of 20 took 0.76 s and 3.5e-13 off
-# dense eig, 30 took 0.25 s, 40 took 0.27 s and 60 took 0.25 s, each within
-# 9e-14; tol 1e-12 saved no more than the run-to-run noise.
-ARPACK_NCV = 40
-_ARPACK_TOL = 0.0
+# Arnoldi steps per cycle of `krylov_radius` (its basis holds one vector
+# more) and the Ritz residual, relative to the radius, at which it stops.
+KRYLOV_STEPS = 40
+_KRYLOV_TOL = 1e-13
 
 
 class SizeLimitError(ValueError):
@@ -110,30 +93,57 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def sparse_spectral_radius(op) -> float:
-    """Largest eigenvalue magnitude of a square scipy sparse array or
-    `LinearOperator` of dimension at least 3, from ARPACK (`eigs`, k=1,
-    which="LM").
+def dense_radius(rows: int, build, what: str) -> float:
+    """`spectral_radius` of the rows x rows matrix `build()`, once it and
+    the eigensolver's copy (16 * rows^2 bytes) pass `check_bytes`."""
+    check_bytes(16 * rows * rows, what)
+    return spectral_radius(build())
 
-    The Arnoldi run starts from a seeded standard normal vector, so the
-    result is deterministic for fixed input; a fixed structured start (all
-    ones, say) can be orthogonal to the dominant eigenvector of a symmetric
-    network. Raises ArithmeticError when ARPACK fails or does not converge,
-    which happens on matrices whose spectrum gives Arnoldi no dominant
-    direction: zero matrices, defective repeated eigenvalues, or many
-    eigenvalues on one circle (after the full default budget of 10 * dim
-    restarts). On a nilpotent chain ARPACK can instead return a
-    pseudo-eigenvalue well above zero without raising, so callers should
-    split off feed-forward structure first, as `model.nominal_stability`
-    does.
+
+def krylov_radius(apply, start) -> float | None:
+    """Largest eigenvalue magnitude of the linear map `apply` by thick-
+    restarted Arnoldi from `start` (Krylov-Schur, Stewart 2001, with Ritz in
+    place of Schur vectors), or None when 1 + dim^2 // 1024 cycles, work that
+    grows with dim^3 as a dense eigensolve's does, do not settle it.
+
+    Each cycle fills a basis of KRYLOV_STEPS + 1 vectors, allocated once,
+    orthogonalized twice by classical Gram-Schmidt, and returns the top Ritz
+    value theta on an invariant subspace (where it is exact) or once its
+    Ritz residual is at most _KRYLOV_TOL |theta|. Otherwise the next cycle
+    keeps the KRYLOV_STEPS // 2 Ritz vectors of largest modulus (a complex
+    pair by its real and imaginary parts), as ARPACK keeps half its space
+    for one wanted eigenvalue; a cyclic shift (none dominant) uses up the budget.
     """
-    from scipy.sparse.linalg import ArpackError, eigs
-
-    dim = op.shape[0]
-    v0 = np.random.default_rng(_START_SEED).standard_normal(dim)
-    try:
-        vals = eigs(op, k=1, which="LM", v0=v0, ncv=min(ARPACK_NCV, dim),
-                    tol=_ARPACK_TOL, return_eigenvectors=False)
-    except ArpackError as exc:  # ArpackNoConvergence is a subclass
-        raise ArithmeticError(f"ARPACK failed: {exc}") from exc
-    return float(np.max(np.abs(vals)))
+    v = np.asarray(start, dtype=float).ravel()
+    steps = min(KRYLOV_STEPS, v.size)
+    basis = np.empty((steps + 1, v.size))
+    h = np.zeros((steps + 1, steps))
+    basis[0] = v / np.linalg.norm(v)
+    p = 0
+    for _ in range(1 + v.size ** 2 // 1024):
+        for j in range(p, steps):
+            w = apply(basis[j])
+            for _ in range(2):
+                c = basis[: j + 1] @ w
+                w = w - c @ basis[: j + 1]
+                h[: j + 1, j] += c
+            h[j + 1, j] = beta = np.linalg.norm(w)
+            if beta <= _KRYLOV_TOL * np.linalg.norm(h[: j + 1, j]):
+                break
+            basis[j + 1] = w / beta
+        k = j + 1
+        vals, vecs = np.linalg.eig(h[:k, :k])
+        order = np.argsort(-np.abs(vals), kind="stable")
+        rho = float(np.abs(vals[order[0]]))
+        if k < steps or abs(h[k, :k] @ vecs[:, order[0]]) <= _KRYLOV_TOL * rho:
+            return rho
+        kept = [part for i in order[: steps // 2] if vals[i].imag >= 0
+                for part in (vecs[:, i].real, vecs[:, i].imag)[: 1 + (vals[i].imag > 0)]]
+        q = np.linalg.qr(np.array(kept).T)[0]
+        p = q.shape[1]
+        for at in range(0, v.size, 4096):  # in place, a slice at a time
+            basis[:p, at:at + 4096] = q.T @ basis[:k, at:at + 4096]
+        basis[p] = basis[k]
+        last, h = h, np.zeros_like(h)
+        h[:p, :p], h[p, :p] = q.T @ last[:k, :k] @ q, last[k, :k] @ q
+    return None

@@ -17,9 +17,10 @@ spectrum in closed form: the union of spec(C + lambda K) over the
 eigenvalues lambda of W, so it needs one symmetric eigensolve of W and N
 tiny n x n ones, and no scipy. Any other network takes a dense eigensolve
 up to `QR_CUTOFF` rows; above, it is split along the strongly connected
-components of the coupling graph and each large component is assembled
-block-sparse, its dominant eigenvalue taken from ARPACK; small components,
-and large ones on which ARPACK fails, get a dense eigensolve.
+components of the coupling graph (by scipy) and each large component is
+assembled block-sparse (scipy BSR), its radius taken from
+`linalg.krylov_radius`; small components, and large ones on which Krylov
+gives up, get a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import QR_CUTOFF, sparse_spectral_radius, spectral_radius
+from .linalg import QR_CUTOFF, dense_radius, krylov_radius, spectral_radius
 
 _STOCH_TOL = 1e-12
+
+# Seed of the nominal check's Krylov start: a structured start (all ones,
+# say) can be orthogonal to the dominant eigenvector of a symmetric network.
+_START_SEED = 0x5EED0
 
 
 class ModelError(ValueError):
@@ -332,13 +337,11 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     components of the coupling graph; ordered by them the matrix is block
     triangular, so its spectrum is the union of the components' spectra.
     This gives feed-forward structure (chains, leader-follower networks,
-    isolated agents), whose nilpotent or defective spectra ARPACK cannot
-    resolve, to small exact eigensolves. A component up to QR_CUTOFF rows
-    goes through `spectral_radius` of its dense matrix; a larger one through
-    ARPACK on its block-sparse matrix, falling back to `spectral_radius` of
-    its dense matrix when ARPACK fails (for instance on many eigenvalues of
-    top modulus); that matrix and the eigensolver's copy count against
-    `linalg.BYTE_CAP`.
+    isolated agents), whose nilpotent or defective spectra give Krylov no
+    dominant direction, to small exact eigensolves. A component above
+    QR_CUTOFF rows runs `krylov_radius` on its block-sparse matrix from a
+    seeded start; a smaller one, or one on which Krylov gives up (many
+    eigenvalues of top modulus, say), takes `linalg.dense_radius`.
     """
     rho = _kronecker_radius(model)
     if rho is not None:
@@ -349,15 +352,11 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     rho = 0.0
     for agents in _strong_components(model):
         sub = _block_sparse(model, agents)
-        if sub.shape[0] <= QR_CUTOFF:
-            r = spectral_radius(sub.toarray())
-        else:
-            try:
-                r = sparse_spectral_radius(sub)
-            except ArithmeticError as exc:
-                what = f"nominal check: the dense fallback for a {sub.shape[0]}-row component"
-                linalg.check_bytes(2 * 8 * sub.shape[0] ** 2, what, f" after {exc}")
-                r = spectral_radius(sub.toarray())
+        rows = sub.shape[0]
+        r = (krylov_radius(sub.__matmul__, np.random.default_rng(_START_SEED).standard_normal(rows))
+             if rows > QR_CUTOFF else None)
+        if r is None:
+            r = dense_radius(rows, sub.toarray, f"nominal check: a {rows}-row component")
         rho = max(rho, r)
     return rho, rho < 1.0
 

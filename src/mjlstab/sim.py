@@ -267,8 +267,3 @@ def mean_square_csv(values) -> str:
     lines.append("")
     return "\n".join(lines)
 
-
-def export_csv(text: str, path) -> None:
-    """Write CSV text with fixed newlines so repeat runs are byte-identical."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)

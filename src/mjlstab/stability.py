@@ -12,9 +12,9 @@ run serially.
 
 Every scope is first tested matrix free, by the cone iteration on L (only L
 is applied, as batched matmul), so the solver state is a few stacks of
-m d x d matrices. When that does not settle, a scope of at most QR_CUTOFF
-rows falls back to the dense eigensolve of its test matrix and a larger one
-to ARPACK on L (ARPACK_NCV + 2 stacks).
+m d x d matrices. When that does not settle, restarted Arnoldi
+(`linalg.krylov_radius`) runs on L, with a basis of KRYLOV_STEPS + 1
+stacks; only when that gives up is the dense test matrix built.
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for
@@ -28,10 +28,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .linalg import ARPACK_NCV, QR_CUTOFF, check_bytes, inf_norm, spectral_radius
-from .linalg import sparse_spectral_radius
+from .linalg import KRYLOV_STEPS, check_bytes, dense_radius, inf_norm, krylov_radius
 from .model import DncsModel, neighborhood
-from .switched import ModeFamily, _check_chain, build_mode_family, enumerate_links
+from .switched import ModeFamily, _check_chain, _size_hint, build_mode_family, enumerate_links
 
 # Spectral radii within this distance of 1 are reported as "marginal" rather
 # than being forced into a stable/unstable boolean.
@@ -104,7 +103,7 @@ class ScopeResult:
     verdict: str
     m: int
     dim: int
-    solver: str  # "cone", "dense" or "arpack": the route of `scope_radius`
+    solver: str  # "cone", "krylov" or "dense": the route of `scope_radius`
 
 
 @dataclass
@@ -151,39 +150,30 @@ def _scope_result(family: ModeFamily) -> ScopeResult:
 
 
 def scope_radius(family: ModeFamily) -> float:
-    """Spectral radius of the second-moment operator L of one scope.
-
-    At every size this is first `_cone_radius`, matrix free. When that does
-    not settle (a periodic chain, say), a scope of at most QR_CUTOFF rows
-    (the same cutoff as `model.nominal_stability`) takes the dense
-    eigensolve of its test matrix, and a larger one ARPACK on L as a
-    LinearOperator. Above QR_CUTOFF, raises SizeLimitError when the solver
-    state, m*d^2 float64s times ARPACK's Krylov size plus two, would exceed
-    `linalg.BYTE_CAP`.
-    """
+    """Spectral radius of the second-moment operator L of one scope: first
+    `_cone_radius`, matrix free; when that does not settle (a periodic
+    chain, say), `linalg.krylov_radius` on L from the stacked identities;
+    when that gives up, `linalg.dense_radius` of the test matrix. Raises
+    SizeLimitError before the cone iteration when the Krylov state (its
+    basis and one vector, m*d^2 float64s each) would exceed BYTE_CAP."""
     return _solve_scope(family)[0]
 
 
 def _solve_scope(family: ModeFamily) -> tuple[float, str]:
-    """`scope_radius` and the solver that produced it: "cone", "dense" or
-    "arpack"."""
+    """`scope_radius` and the solver that produced it: "cone", "krylov" or
+    "dense"."""
     m, d = family.mode_count, family.state_dim
     dim = m * d * d
-    if dim > QR_CUTOFF:
-        check_bytes(8 * dim * (ARPACK_NCV + 2),
-                    f"scope {family.label}: the spectral test's solver state",
-                    "; try --dedup or a sparser neighborhood")
+    what = f"scope {family.label}: the spectral test's"
+    check_bytes(8 * dim * (KRYLOV_STEPS + 2), f"{what} solver state", _size_hint(family.scope))
     rho = _cone_radius(family)
     if rho is not None:
         return rho, "cone"
-    if dim <= QR_CUTOFF:
-        return spectral_radius(mss_matrix(family).matrix), "dense"
-    from scipy.sparse.linalg import LinearOperator
-
-    def apply(v):
-        return second_moment_map(family, v.reshape(m, d, d)).ravel()
-
-    return sparse_spectral_radius(LinearOperator((dim, dim), matvec=apply, dtype=float)), "arpack"
+    rho = krylov_radius(lambda v: second_moment_map(family, v.reshape(m, d, d)).ravel(),
+                        np.tile(np.eye(d).ravel(), m))
+    if rho is not None:
+        return rho, "krylov"
+    return dense_radius(dim, lambda: mss_matrix(family).matrix, f"{what} dense matrix"), "dense"
 
 
 def _cone_radius(family: ModeFamily) -> float | None:

@@ -237,6 +237,13 @@ class ModeFamily:
         )
 
 
+def _size_hint(scope) -> str:
+    """What a refusal of the scope suggests instead."""
+    if scope is None:
+        return "; use the reduced per-agent test"
+    return "; neighborhood too dense" if isinstance(scope, int) else ""
+
+
 def build_mode_family(model: DncsModel, scope: int | None = None) -> ModeFamily:
     """Enumerate every delay mode of a scope into a ModeFamily.
 
@@ -251,10 +258,10 @@ def build_mode_family(model: DncsModel, scope: int | None = None) -> ModeFamily:
     agents = _scope_agents(model, scope)
     dim = len(agents) * model.n * q
     where = "global scope" if scope is None else f"agent {scope}"
-    hint = "; use the reduced per-agent test" if scope is None else "; neighborhood too dense"
     for what, nbytes in (("mode matrices", 8 * count * dim * dim),
                          ("joint chain", 8 * count * count)):
-        check_bytes(nbytes, f"{where}: the {what} of {q}^{len(links)} delay modes", hint)
+        check_bytes(nbytes, f"{where}: the {what} of {q}^{len(links)} delay modes",
+                    _size_hint(scope))
     digits = np.arange(count)[:, None] // q ** np.arange(len(links))[::-1] % q
     return ModeFamily(
         scope=scope,

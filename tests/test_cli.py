@@ -540,7 +540,8 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_analyze_large_pendulum_leaves_scipy_unloaded(n_agents):
     # the pendulum network is homogeneous and its weights a uniform path, so
     # its nominal check is the closed form over the path's eigenvalues: no
-    # N x N weight matrix and no ARPACK, which took minutes at 10000 agents
+    # N x N weight matrix and no iterative solver (ARPACK took minutes at
+    # 10000 agents)
     src = str(Path(mjlstab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     probe = ("import sys, mjlstab.cli; "
@@ -552,10 +553,40 @@ def test_analyze_large_pendulum_leaves_scipy_unloaded(n_agents):
     assert proc.stderr.split() == ["0", "False"]
 
 
+def test_periodic_wide_scope_leaves_scipy_unloaded(tmp_path):
+    # the 16-pendulum interior modes under a cyclic chain: 2304 rows on
+    # which the cone iteration does not settle, so Krylov answers, in numpy
+    from mjlstab.switched import build_mode_family
+
+    base = build_mode_family(build_pendulum_model(16), scope=2)
+    doc = {"matrices": base.matrices.tolist(), "P": np.roll(np.eye(16), 1, axis=1).tolist()}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(mjlstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, mjlstab.cli; "
+             f"code = mjlstab.cli.main(['analyze', '--family', {str(path)!r}]); "
+             "print(code, 'scipy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    scope = json.loads(proc.stdout)["scopes"][0]
+    assert (scope["dim"], scope["solver"]) == (2304, "krylov")
+    assert proc.stderr.split() == ["0", "False"]
+
+
+def test_full_test_refusal_points_to_reduced_test(capsys):
+    # 7 pendulums: the family fits, its Krylov state (1.08 GB) does not
+    code, doc = run(capsys, "analyze", "--pendulum", "7", "--full")
+    assert code == 1
+    assert "scope global: the spectral test's solver state" in doc["error"]
+    assert doc["error"].endswith("; use the reduced per-agent test")
+    assert "--dedup" not in doc["error"]
+
+
 def test_analyze_shift_ring_above_dense_cutoff(capsys, tmp_path):
     # 257 agents of dimension 2, each receiving its predecessor's state
-    # unchanged: 514 eigenvalues on the unit circle, where ARPACK cannot
-    # converge and the nominal check falls back to the dense eigensolve.
+    # unchanged: 514 eigenvalues on the unit circle, where Krylov stalls
+    # and the nominal check falls back to the dense eigensolve.
     n_agents = 257
     blocks = [{"i": i, "j": i, "values": [0.0] * 4} for i in range(1, n_agents + 1)]
     blocks += [{"i": i, "j": (i - 2) % n_agents + 1, "values": [1.0, 0.0, 0.0, 1.0]}

@@ -4,9 +4,12 @@ import pytest
 from mjlstab import linalg
 from mjlstab.linalg import (
     BYTE_CAP,
+    KRYLOV_STEPS,
     QR_CUTOFF,
     SizeLimitError,
+    dense_radius,
     inf_norm,
+    krylov_radius,
     kron,
     kron_power,
     spectral_radius,
@@ -121,6 +124,78 @@ def test_spectral_radius_above_qr_cutoff_nilpotent_is_zero():
     m = np.zeros((dim, dim))
     m[range(1, dim), range(dim - 1)] = 1.0
     assert spectral_radius(m) == 0.0
+
+
+def _krylov(m, seed=0):
+    """krylov_radius of the dense matrix m from a seeded normal start, and
+    the number of products it took."""
+    calls = []
+    start = np.random.default_rng(seed).standard_normal(len(m))
+    rho = krylov_radius(lambda v: calls.append(1) or m @ v, start)
+    return rho, len(calls)
+
+
+def _dense_eig(m):
+    return float(np.abs(np.linalg.eigvals(m)).max())
+
+
+@pytest.mark.parametrize("dominant", [0.95, 1.3])
+def test_krylov_radius_dominant_complex_pair(dominant):
+    m = _dense_with_known_spectrum(300, dominant, seed=4)
+    rho, _ = _krylov(m)
+    assert rho == pytest.approx(_dense_eig(m), abs=1e-12)
+    assert rho == pytest.approx(dominant, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, KRYLOV_STEPS])
+def test_krylov_radius_small_dimension_is_exact(dim):
+    # the Krylov space fills the whole space within one cycle
+    m = np.random.default_rng(dim).standard_normal((dim, dim))
+    rho, calls = _krylov(m)
+    assert rho == pytest.approx(_dense_eig(m), abs=1e-12)
+    assert calls <= dim
+
+
+def test_krylov_radius_zero_operator():
+    rho, calls = _krylov(np.zeros((50, 50)))
+    assert rho == 0.0 == _dense_eig(np.zeros((50, 50)))
+    assert calls == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_krylov_radius_random_non_normal(seed):
+    # a positive matrix (Perron root, eigenvector not orthogonal to the
+    # rest) and a similarity S D S^-1 by a random non-orthogonal S whose
+    # singular values lie in about [0.5, 1.5], so dense eig itself is
+    # accurate to a few ulps
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(60, 600))
+    positive = rng.uniform(size=(dim, dim))
+    s = np.eye(dim) + 0.25 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    d = np.diag(np.concatenate([[1.0], rng.uniform(-0.8, 0.8, dim - 1)]))
+    for m in (positive, s @ d @ np.linalg.inv(s)):
+        rho, _ = _krylov(m, seed)
+        assert rho == pytest.approx(_dense_eig(m), abs=1e-12 * max(1.0, _dense_eig(m)))
+
+
+def test_krylov_radius_stalls_on_cyclic_permutation():
+    # 520 eigenvalues on the unit circle: no dominant direction, so the
+    # solver gives up after 1 + 520^2 // 1024 = 265 cycles, the first of
+    # KRYLOV_STEPS products and each later one of about half as many (a
+    # complex pair cut at the half keeps one vector more or fewer)
+    m = np.roll(np.eye(520), 1, axis=1)
+    rho, calls = _krylov(m)
+    assert rho is None
+    assert calls <= KRYLOV_STEPS + 264 * (KRYLOV_STEPS // 2 + 1)
+
+
+def test_dense_radius_checks_matrix_and_copy(monkeypatch):
+    m = _dense_with_known_spectrum(20, 0.9, seed=1)
+    monkeypatch.setattr(linalg, "BYTE_CAP", 16 * 20 * 20 - 1)
+    with pytest.raises(SizeLimitError, match="test matrix would hold 6400 bytes"):
+        dense_radius(20, lambda: pytest.fail("built past the cap"), "test matrix")
+    monkeypatch.setattr(linalg, "BYTE_CAP", 16 * 20 * 20)
+    assert dense_radius(20, lambda: m, "test matrix") == spectral_radius(m)
 
 
 def test_kron_entry_limit_default_is_reasonable():

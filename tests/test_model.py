@@ -393,17 +393,34 @@ def test_nominal_degenerate_models_match_dense_eig(name):
     model = static_model(_N, 2, DEGENERATE[name])
     assert model.n_agents * model.n > QR_CUTOFF
     rho, stable = nominal_stability(model)
-    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-12)
     assert stable == (rho < 1.0)
 
 
+@pytest.fixture
+def krylov_answers(monkeypatch):
+    """What each `krylov_radius` call of the nominal check returned (None
+    for a stall), in call order."""
+    import mjlstab.model as model_module
+
+    answers = []
+
+    def spy(apply, start, _real=model_module.krylov_radius):
+        answers.append(_real(apply, start))
+        return answers[-1]
+    monkeypatch.setattr(model_module, "krylov_radius", spy)
+    return answers
+
+
 @pytest.mark.parametrize("seed,degree", [(0, 1.0), (1, 5.0), (2, 5.0)])
-def test_nominal_random_sparse_models_match_dense_eig(seed, degree):
+def test_nominal_random_sparse_models_match_dense_eig(seed, degree, krylov_answers):
     # degree 1 leaves only components of one or two agents; degree 5 gives
-    # one strongly connected component of more than 512 rows
+    # one strongly connected component of more than 512 rows, which Krylov
+    # settles by itself
     model = random_sparse_model(seed, n_agents=300, n=2, degree=degree, isolated=10)
     rho, _ = nominal_stability(model)
-    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-12)
+    assert krylov_answers == ([] if degree == 1.0 else [rho])
 
 
 def symmetric_weighted_model(seed: int, n_agents: int, n: int, isolated: int,
@@ -455,7 +472,7 @@ def general_path_calls(monkeypatch):
     import mjlstab.model as model_module
 
     calls = []
-    for name in ("_strong_components", "sparse_spectral_radius", "spectral_radius"):
+    for name in ("_strong_components", "krylov_radius", "dense_radius", "spectral_radius"):
         def spy(*args, _real=getattr(model_module, name), _name=name):
             calls.append(_name)
             return _real(*args)
@@ -520,8 +537,8 @@ def _with_block(model: DncsModel, key, block) -> DncsModel:
     return static_model(model.n_agents, model.n, {**model.blocks, key: block})
 
 
-def _pendulum_diagonal_ulp() -> DncsModel:
-    pend = build_pendulum_model(300)
+def _pendulum_diagonal_ulp(n_agents: int = 300) -> DncsModel:
+    pend = build_pendulum_model(n_agents)
     blk = pend.blocks[(7, 7)].copy()
     blk[1, 1] = np.nextafter(blk[1, 1], np.inf)
     return _with_block(pend, (7, 7), blk)
@@ -560,11 +577,26 @@ GENERAL = {
 
 
 @pytest.mark.parametrize("name", sorted(GENERAL))
-def test_inhomogeneous_nominal_takes_general_path(name, general_path_calls):
+def test_inhomogeneous_nominal_takes_general_path(name, general_path_calls, krylov_answers):
     model = GENERAL[name]()
     rho, _ = nominal_stability(model)
     assert "_strong_components" in general_path_calls
-    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-12)
+    # Krylov settles every large component but the shift ring's, whose
+    # eigenvalues all lie on the unit circle; the leader-follower chain
+    # splits into single agents
+    settled = {"shift_ring": [None], "leader_follower": []}.get(name, [rho])
+    assert krylov_answers == settled
+
+
+def test_clustered_chain_is_settled_by_krylov(krylov_answers):
+    # the pendulum chain's top eigenvalues crowd together as it grows: at
+    # 1000 pendulums Krylov needs thousands of products, as ARPACK did, and
+    # must not give up before. One ulp moves the closed-form radius of the
+    # unperturbed chain by far less than the tolerance.
+    rho, _ = nominal_stability(_pendulum_diagonal_ulp(1000))
+    assert krylov_answers == [rho]
+    assert rho == pytest.approx(nominal_stability(build_pendulum_model(1000))[0], abs=1e-12)
 
 
 def test_kronecker_path_respects_state_byte_cap(monkeypatch, general_path_calls):
@@ -574,11 +606,11 @@ def test_kronecker_path_respects_state_byte_cap(monkeypatch, general_path_calls)
     need = 2 * model.n_agents ** 2 * 8  # W and the copy eigvalsh makes of it
     monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
     rho, _ = nominal_stability(model)
-    # isolated agents and small components take spectral_radius, the large
-    # component ARPACK
+    # isolated agents and small components take the dense eigensolve, the
+    # large component Krylov
     assert general_path_calls[0] == "_strong_components"
-    assert set(general_path_calls[1:]) == {"spectral_radius", "sparse_spectral_radius"}
-    assert rho == pytest.approx(_dense_rho(model), abs=1e-9)
+    assert set(general_path_calls[1:]) == {"dense_radius", "krylov_radius"}
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-12)
     general_path_calls.clear()
     monkeypatch.setattr(linalg, "BYTE_CAP", need)
     nominal_stability(model)
@@ -590,20 +622,16 @@ def test_nominal_dense_fallback_respects_byte_cap(monkeypatch):
     from mjlstab import linalg
 
     # a directed ring of 4 agents: one strongly connected 8-row component,
-    # taken past the dense cutoff to ARPACK, which fails here
+    # taken past the dense cutoff to Krylov, which stalls here
     model = static_model(4, 2, {**{(i, i): _rotation(0.5, 0.1 * i) for i in range(1, 5)},
                                 **{(i, i % 4 + 1): 0.1 * _EYE for i in range(1, 5)}})
-
-    def fail(op):
-        raise ArithmeticError("ARPACK failed: no convergence")
-
     monkeypatch.setattr(model_module, "QR_CUTOFF", 2)
-    monkeypatch.setattr(model_module, "sparse_spectral_radius", fail)
+    monkeypatch.setattr(model_module, "krylov_radius", lambda apply, start: None)
     need = 2 * 8 * 8 ** 2  # the dense matrix and the eigensolver's copy
     monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
     with pytest.raises(linalg.SizeLimitError) as info:
         nominal_stability(model)
-    for part in ("8-row component", f"{need} bytes", f"cap {need - 1}", "ARPACK failed: no convergence"):
+    for part in ("8-row component", f"{need} bytes", f"cap {need - 1}"):
         assert part in str(info.value)
     monkeypatch.setattr(linalg, "BYTE_CAP", need)
     rho, _ = nominal_stability(model)

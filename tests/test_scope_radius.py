@@ -1,20 +1,21 @@
 """The matrix-free spectral test of scopes: cone iteration on the
-second-moment operator at every size, then the dense eigensolve (up to
-QR_CUTOFF rows) or ARPACK (above) when it does not settle, the byte cap
-on solver state, and one build and solve per exact local structure in the
-reduced test. Dense eig of the test matrix, ARPACK on the operator and the
-covariance recursion are the oracles."""
+second-moment operator at every size, then restarted Arnoldi
+(`linalg.krylov_radius`) when it does not settle and the dense eigensolve
+only when that gives up, the byte cap on solver state, and one build and
+solve per exact local structure in the reduced test. Dense eig of the test
+matrix, scipy's ARPACK on the operator and the covariance recursion are the
+oracles."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from mjlstab import linalg, stability
 from mjlstab.cli import main
-from mjlstab.linalg import QR_CUTOFF, SizeLimitError, kron_power, sparse_spectral_radius
+from mjlstab.linalg import QR_CUTOFF, SizeLimitError, kron_power
 from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
 from mjlstab.stability import (
     _cone_radius,
@@ -39,6 +40,7 @@ def dense_rho(fam):
 
 
 def arpack_rho(fam):
+    """Largest-modulus eigenvalue of the operator from ARPACK, seeded."""
     m, d = fam.mode_count, fam.state_dim
     dim = m * d * d
     op = LinearOperator(
@@ -46,7 +48,18 @@ def arpack_rho(fam):
         matvec=lambda v: second_moment_map(fam, v.reshape(m, d, d)).ravel(),
         dtype=float,
     )
-    return sparse_spectral_radius(op)
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    vals = eigs(op, k=1, which="LM", v0=v0, ncv=40, tol=0.0, return_eigenvectors=False)
+    return float(np.abs(vals).max())
+
+
+def krylov_rho(fam):
+    """`linalg.krylov_radius` on the operator from the stacked identities,
+    the start `scope_radius` gives it when the cone iteration does not
+    settle."""
+    m, d = fam.mode_count, fam.state_dim
+    return linalg.krylov_radius(lambda v: second_moment_map(fam, v.reshape(m, d, d)).ravel(),
+                                np.tile(np.eye(d).ravel(), m))
 
 
 def covariance_growth(fam, steps):
@@ -117,21 +130,23 @@ def rotation_grid_model(side=5, theta=0.8, radius=0.6, coupling=0.05):
 
 
 # ---------------------------------------------------------------------------
-# Periodic chains: the cone iteration hands over to ARPACK
+# Periodic chains: the cone iteration hands over to Krylov
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("chain", ["cyclic", "link_flip"])
 def test_deterministic_chain_matches_dense_eig(chain):
-    # a power iteration on these never settles: the joint chain is periodic
+    # a power iteration on these never settles: the joint chain is periodic.
+    # The link flip's top moduli lie within 2e-6 of one another; the thick
+    # restart keeps them all and settles the radius without the dense matrix
     base = interior_family()
     p = (np.roll(np.eye(16), 1, axis=1) if chain == "cyclic"
          else kron_power([[0.0, 1.0], [1.0, 0.0]], 4))
     fam = ModeFamily.from_matrices(base.matrices, p)
     assert _cone_radius(fam) is None
     scope = mss_test_family(fam).scopes[0]
-    assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-9)
-    assert scope.solver == "arpack"
+    assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
+    assert scope.solver == "krylov"
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +184,25 @@ def test_small_scopes_take_the_cone_iteration(solver_calls):
     assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-9)
 
 
-def test_small_periodic_scope_falls_back_to_dense_eig(solver_calls):
-    # the cyclic chain keeps the cone iteration's growth oscillating
+def test_small_periodic_scope_takes_krylov(solver_calls):
+    # the cyclic chain keeps the cone iteration's growth oscillating; Arnoldi
+    # resolves it without the dense test matrix
     base = endpoint_family()
     fam = ModeFamily.from_matrices(base.matrices, np.roll(np.eye(base.mode_count), 1, axis=1))
     assert fam.mode_count * fam.state_dim ** 2 <= QR_CUTOFF
+    scope = mss_test_family(fam).scopes[0]
+    assert solver_calls == [("cone", None)]
+    assert scope.solver == "krylov"
+    assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
+
+
+def test_scope_falls_back_to_dense_eig_after_krylov_stalls(solver_calls):
+    # 64 scalar modes visited in a cycle: L is a weighted cyclic shift whose
+    # 64 eigenvalues share one modulus, so neither iteration has a dominant
+    # direction
+    rng = np.random.default_rng(12)
+    fam = ModeFamily.from_matrices(rng.uniform(0.5, 1.0, (64, 1, 1)),
+                                   np.roll(np.eye(64), 1, axis=1))
     scope = mss_test_family(fam).scopes[0]
     assert solver_calls == [("cone", None), ("mss_matrix",)]
     assert scope.solver == "dense"
@@ -184,7 +213,7 @@ def test_small_periodic_scope_falls_back_to_dense_eig(solver_calls):
 def test_period_two_chain_gives_up_early(case, monkeypatch):
     # a joint chain that flips every step keeps the growth alternating with
     # a change that does not shrink; the cone iteration stops long before
-    # its 500-step budget and the dense eigensolve answers
+    # its 500-step budget and Krylov answers
     flip = [[0.0, 1.0], [1.0, 0.0]]
     if case == "scalar_flip":
         fam = ModeFamily.from_matrices([[[0.5]], [[0.8]]], flip)
@@ -194,10 +223,11 @@ def test_period_two_chain_gives_up_early(case, monkeypatch):
     real = stability.second_moment_map
     monkeypatch.setattr(stability, "second_moment_map",
                         lambda *args: steps.append(1) or real(*args))
-    rho, solver = _solve_scope(fam)
+    assert _cone_radius(fam) is None
     assert len(steps) <= 100
-    assert solver == "dense"
-    assert rho == dense_rho(fam)
+    rho, solver = _solve_scope(fam)
+    assert solver == "krylov"
+    assert rho == pytest.approx(dense_rho(fam), abs=1e-12)
 
 
 def test_random_small_families_match_dense_eig():
@@ -258,8 +288,12 @@ def test_ladder_scopes_match_dense_eig_and_arpack():
         assert scope.rho == pytest.approx(
             arpack_rho(build_mode_family(model, scope=agent)), abs=1e-9)
     # one dense eigensolve of a 4096-row test matrix takes seconds
-    assert report.scopes[0].rho == pytest.approx(
-        dense_rho(build_mode_family(model, scope=1)), abs=1e-9)
+    fam = build_mode_family(model, scope=1)
+    dense = dense_rho(fam)
+    assert report.scopes[0].rho == pytest.approx(dense, abs=1e-9)
+    # the cone iteration settles every ladder scope; Krylov, which answers
+    # where it does not, agrees too
+    assert krylov_rho(fam) == pytest.approx(dense, abs=1e-12)
 
 
 def test_random_contractive_families_match_dense_eig():
@@ -267,7 +301,9 @@ def test_random_contractive_families_match_dense_eig():
     for _ in range(10):
         fam = contractive_family(rng, int(rng.integers(150, 201)), 2)
         assert 600 <= fam.mode_count * 4 <= 4096
-        assert scope_radius(fam) == pytest.approx(dense_rho(fam), abs=1e-9)
+        dense = dense_rho(fam)
+        assert scope_radius(fam) == pytest.approx(dense, abs=1e-9)
+        assert krylov_rho(fam) == pytest.approx(dense, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +341,21 @@ def test_wide_scopes_analyze_with_dedup(make, capsys, tmp_path):
 
 
 def test_solver_state_byte_cap(monkeypatch):
-    fam = interior_family()
-    state = 8 * 2304 * 42
-    monkeypatch.setattr(linalg, "BYTE_CAP", state - 1)
-    with pytest.raises(SizeLimitError) as err:
-        mss_test_family(fam)
-    message = str(err.value)
-    assert f"{state} bytes" in message
-    assert f"cap {state - 1}" in message
-    assert "--dedup" in message
-    monkeypatch.setattr(linalg, "BYTE_CAP", state)
-    assert mss_test_family(fam).overall == "stable"
-    # scopes on the dense path never reach the cap (the family build, which
-    # the same cap also bounds, comes first)
-    small = build_mode_family(build_pendulum_model(16), scope=1)
-    monkeypatch.setattr(linalg, "BYTE_CAP", 0)
-    assert mss_test_family(small).overall == "stable"
+    # the Krylov basis and the vector being orthogonalized, checked at every
+    # size before the cone iteration runs
+    for agent, dim in [(1, 256), (2, 2304)]:
+        fam = build_mode_family(build_pendulum_model(16), scope=agent)
+        state = 8 * dim * (linalg.KRYLOV_STEPS + 2)
+        monkeypatch.setattr(linalg, "BYTE_CAP", state - 1)
+        with pytest.raises(SizeLimitError) as err:
+            mss_test_family(fam)
+        message = str(err.value)
+        assert f"scope agent {agent}" in message
+        assert f"{state} bytes" in message
+        assert f"cap {state - 1}" in message
+        assert message.endswith("; neighborhood too dense")
+        monkeypatch.setattr(linalg, "BYTE_CAP", state)
+        assert mss_test_family(fam).overall == "stable"
 
 
 # ---------------------------------------------------------------------------

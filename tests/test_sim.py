@@ -19,7 +19,6 @@ from mjlstab.model import (
 from mjlstab.sim import (
     SimConfig,
     estimate_ms,
-    export_csv,
     mean_square_csv,
     simulate_trajectory,
     trajectory_csv,
@@ -481,10 +480,3 @@ def test_mean_square_csv_layout():
     text = mean_square_csv([4.0, 1.0, 0.25])
     assert text == "k,mean_sq\n0,4\n1,1\n2,0.25\n"
 
-
-def test_export_csv_uses_fixed_newlines(tmp_path):
-    path = tmp_path / "out.csv"
-    export_csv("k,mean_sq\n0,1\n", path)
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    assert raw == b"k,mean_sq\n0,1\n"
