@@ -9,7 +9,7 @@ cross-validates verdicts with an exact covariance recursion and Monte Carlo
 simulation.
 """
 
-from .linalg import SizeLimitError, inf_norm, kron, kron_power, spectral_radius
+from .linalg import SizeLimitError, inf_norm, kron_power, spectral_radius
 from .lp import lp_solve
 from .model import (
     DelayChain,
@@ -56,7 +56,6 @@ from .stability import (
     mss_test_full,
     mss_test_reduced,
     second_moment_map,
-    stack_covariance,
     verdict,
 )
 from .switched import (
@@ -103,7 +102,6 @@ __all__ = [
     "estimate_ms",
     "grid_scan_max_rho",
     "inf_norm",
-    "kron",
     "kron_power",
     "load_model",
     "lp_solve",
@@ -121,7 +119,6 @@ __all__ = [
     "simulate_trajectory",
     "solve_bound_lp",
     "spectral_radius",
-    "stack_covariance",
     "trajectory_csv",
     "verdict",
     "weighted_bounds",

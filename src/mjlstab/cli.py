@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -79,10 +80,6 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _read_file(path: str) -> str:
@@ -175,24 +172,39 @@ def _layout_digest(counts, arrays) -> str:
     return digest.hexdigest()
 
 
-def _emit(doc: dict, args, command: str, source, started: float, payload: str | None = None) -> None:
-    """Print the result JSON; with --out, also write the artifact (payload
-    text if given, else the same JSON) and its manifest, whose model digest
-    is that of `source`, the model or family the command ran on."""
+def _emit(doc: dict, args, command: str, source, started: float, payload=None) -> None:
+    """Print the result JSON; with --out, also write the artifact and its
+    manifest, whose model digest is that of `source`, the model or family
+    the command ran on.
+
+    The artifact is the same JSON unless `payload` is given: a function
+    that passes the artifact's text, chunk by chunk, to the `write` it is
+    called with. Each chunk is encoded, hashed and written at once, so the
+    whole text is never held.
+    """
     text = json.dumps(doc, indent=2)
     print(text)
     out = getattr(args, "out", None)
     if out is None:
         return
-    artifact = payload if payload is not None else text + "\n"
-    with open(out, "w", newline="\n") as fh:
-        fh.write(artifact)
+    digest = hashlib.sha256()
+    with open(out, "wb") as fh:
+
+        def write(chunk: str) -> None:
+            data = chunk.encode()
+            digest.update(data)
+            fh.write(data)
+
+        if payload is None:
+            write(text + "\n")
+        else:
+            payload(write)
     manifest = RunManifest(
         command=command,
         arguments=[str(a) for a in (args._argv or [])],
         version=__version__,
         model_digest=_source_digest(source),
-        result_digest=_sha256(artifact.encode()),
+        result_digest=digest.hexdigest(),
         timings={"total_s": round(time.monotonic() - started, 6)},
     )
     with open(out + ".manifest.json", "w", newline="\n") as fh:
@@ -250,7 +262,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig(steps=args.steps, trials=args.trials, seed=args.seed)
     if config.trials == 1:
         record = simulate_trajectory(model, config, trial=0)
-        payload = trajectory_csv(record)
+        payload = functools.partial(trajectory_csv, record)
         doc = {
             "command": "simulate",
             "out": args.out,
@@ -260,7 +272,7 @@ def cmd_simulate(args) -> int:
         }
     else:
         ms = estimate_ms(model, config)
-        payload = mean_square_csv(ms)
+        payload = functools.partial(mean_square_csv, ms)
         doc = {
             "command": "simulate",
             "out": args.out,

@@ -49,25 +49,18 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two dense matrices.
-
-    Raises SizeLimitError if the result would exceed BYTE_CAP.
-    """
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    check_bytes(8 * a.size * b.size, "kron result")
-    return np.kron(a, b)
-
-
 def kron_power(p, exponent: int) -> np.ndarray:
-    """`exponent`-fold Kronecker power; exponent 0 gives the 1x1 identity."""
+    """`exponent`-fold Kronecker power; exponent 0 gives the 1x1 identity.
+
+    Raises SizeLimitError before any product that would exceed BYTE_CAP.
+    """
     p = _as_matrix(p)
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     out = np.ones((1, 1))
     for _ in range(exponent):
-        out = kron(out, p)
+        check_bytes(8 * out.size * p.size, "kron result")
+        out = np.kron(out, p)
     return out
 
 

@@ -17,6 +17,12 @@ whole block. `simulate_trajectory` runs a block of one trial and keeps its
 states; `estimate_ms` runs one block per core and keeps only squared norms.
 The loop's per-step work has no data-dependent branch: the delayed product
 of each link is picked from the ring of the last q products by bit masks.
+Both refuse, before they allocate, a run whose arrays would exceed
+`linalg.BYTE_CAP`.
+
+The CSV helpers format their rows in chunks of about 256 KB of text and pass
+each chunk to a `write` callback, so an export holds the trajectory array
+and one chunk, never the whole text.
 """
 
 from __future__ import annotations
@@ -27,10 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import parallel_map
+from .linalg import check_bytes
 from .model import DncsModel
 from .switched import enumerate_links
 
 _MASK64 = (1 << 64) - 1
+
+# Characters of CSV text gathered before they are passed to `write`.
+CSV_CHUNK_CHARS = 1 << 18
+
+# Bytes one trial's Philox generator holds (measured with numpy 2.4).
+_GENERATOR_BYTES = 640
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +211,18 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
 def simulate_trajectory(
     model: DncsModel, config: SimConfig, trial: int = 0
 ) -> TrajectoryRecord:
-    """Simulate one trajectory, deterministic given (config.seed, trial)."""
+    """Simulate one trajectory, deterministic given (config.seed, trial).
+
+    Raises SizeLimitError, before anything is allocated, when the kept
+    record, (steps+1)·N·n states and steps·L delays, would exceed
+    `linalg.BYTE_CAP`.
+    """
+    n_links = len(model.blocks) - model.n_agents  # one per off-diagonal block
+    check_bytes(
+        8 * ((config.steps + 1) * model.n_agents * model.n + config.steps * n_links),
+        f"a {config.steps}-step trajectory record",
+        "; use fewer --steps",
+    )
     links, sqnorm, states, delays = _simulate_block(model, config, [trial], keep=True)
     return TrajectoryRecord(
         states=states.reshape(config.steps + 1, model.n_agents * model.n),
@@ -219,10 +243,24 @@ def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
     other for the GIL; without `os.fork` they run serially). Only the squared
     norms are kept and sent back; they are stacked in trial order before the
     mean, so the result is bit-identical for any core count.
+
+    Raises SizeLimitError, before anything is allocated, when what it holds
+    would exceed `linalg.BYTE_CAP`: the trial index and every trial's
+    squared norms twice (as the blocks return them, then stacked), plus the
+    largest block's step loop, where each trial holds four state arrays
+    (N·n), the product ring and its two scratch arrays ((q+2)·L·n), a
+    uniform, a delay and a mask per link, and a generator.
     """
-    blocks = np.array_split(
-        np.arange(config.trials), min(os.cpu_count() or 1, config.trials)
+    workers = min(os.cpu_count() or 1, config.trials)
+    n_links = len(model.blocks) - model.n_agents
+    floats = 4 * model.n_agents * model.n + (model.q + 2) * n_links * model.n + 3 * n_links
+    check_bytes(
+        8 * config.trials * (2 * config.steps + 3)
+        + -(-config.trials // workers) * (8 * floats + _GENERATOR_BYTES),
+        f"{config.trials} trials of {config.steps} steps",
+        "; use fewer --trials",
     )
+    blocks = np.array_split(np.arange(config.trials), workers)
     sqnorms = parallel_map(
         lambda block: _simulate_block(model, config, block)[1], blocks
     )
@@ -234,8 +272,26 @@ def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def trajectory_csv(record: TrajectoryRecord) -> str:
-    """CSV text of one trajectory: columns k, per-agent states, sqnorm.
+def _write_csv(write, header: str, row_fmt: str, rows) -> None:
+    """Pass the header line, then one `row_fmt % row` line per tuple of
+    `rows`, to `write` in chunks of whole lines: a chunk is passed once it
+    reaches CSV_CHUNK_CHARS characters, so at most one chunk and one row
+    exist at a time, however wide the rows and however many."""
+    parts, size = [header + "\n"], len(header) + 1
+    for row in rows:
+        line = row_fmt % row
+        parts.append(line)
+        size += len(line)
+        if size >= CSV_CHUNK_CHARS:
+            write("".join(parts))
+            parts, size = [], 0
+    if parts:
+        write("".join(parts))
+
+
+def trajectory_csv(record: TrajectoryRecord, write) -> None:
+    """Pass the CSV text of one trajectory (columns k, per-agent states,
+    sqnorm) to `write` in chunks of about CSV_CHUNK_CHARS characters.
 
     State columns are named x_<agent> for scalar agents and
     x_<agent>_<coord> (both one-based) otherwise.
@@ -249,21 +305,18 @@ def trajectory_csv(record: TrajectoryRecord) -> str:
             for c in range(1, record.n + 1)
         ]
     # one %-format per row over Python floats ("%.17g" prints exactly what
-    # format(v, ".17g") does); rows are converted one at a time, so no
-    # Python float exists for the whole array at once
-    row_fmt = "%d," + ",".join(["%.17g"] * record.states.shape[1]) + ",%.17g"
-    lines = ["k," + ",".join(names) + ",sqnorm"]
-    for k, (row, sq) in enumerate(zip(record.states, record.sqnorm.tolist())):
-        lines.append(row_fmt % (k, *row.tolist(), sq))
-    lines.append("")
-    return "\n".join(lines)
+    # format(v, ".17g") does); each row's floats are made only while its line
+    # is formatted, and each chunk's lines only until the chunk is passed on
+    row_fmt = "%d," + ",".join(["%.17g"] * record.states.shape[1]) + ",%.17g\n"
+    rows = (
+        (k, *row.tolist(), sq)
+        for k, (row, sq) in enumerate(zip(record.states, record.sqnorm))
+    )
+    _write_csv(write, "k," + ",".join(names) + ",sqnorm", row_fmt, rows)
 
 
-def mean_square_csv(values) -> str:
-    """CSV text of a mean-square trajectory: columns k, mean_sq."""
-    lines = ["k,mean_sq"]
-    for k, v in enumerate(np.asarray(values, dtype=float).tolist()):
-        lines.append("%d,%.17g" % (k, v))
-    lines.append("")
-    return "\n".join(lines)
-
+def mean_square_csv(values, write) -> None:
+    """Pass the CSV text of a mean-square trajectory (columns k, mean_sq) to
+    `write` in chunks of about CSV_CHUNK_CHARS characters."""
+    rows = enumerate(np.asarray(values, dtype=float).tolist())
+    _write_csv(write, "k,mean_sq", "%d,%.17g\n", rows)

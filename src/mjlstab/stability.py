@@ -416,11 +416,3 @@ def covariance_trace(state: CovarianceState) -> float:
     """Total expected squared norm at the state's step: sum_s tr Q_s."""
     return float(np.trace(state.Q, axis1=1, axis2=2).sum())
 
-
-def stack_covariance(state: CovarianceState) -> np.ndarray:
-    """Column-major vectorization of every Q_s, stacked mode by mode.
-
-    The test matrix propagates exactly this vector: stacking after
-    covariance_step equals mss_matrix(family).matrix @ stacking before.
-    """
-    return np.concatenate([q.reshape(-1, order="F") for q in state.Q])

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import mjlstab
-from mjlstab import cli
+import test_sim
+from mjlstab import cli, linalg, sim
 from mjlstab.cli import main
 from mjlstab.model import DelayChain, DncsModel, build_pendulum_model, dump_model
 from test_sim import pendulum_tau2
@@ -294,6 +295,29 @@ def test_simulate_csv_matches_golden_digest(capsys, tmp_path, trials):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[trials]
+
+
+@pytest.mark.parametrize("trials, hint", [("1", "--steps"), ("1000", "--trials")])
+def test_oversized_simulate_exits_one_before_simulating(capsys, tmp_path, monkeypatch,
+                                                       trials, hint):
+    monkeypatch.setattr(linalg, "BYTE_CAP", 100)
+    monkeypatch.setattr(sim, "_trial_generator", test_sim.fail_generator)
+    out = tmp_path / "sim.csv"
+    code, doc = run(capsys, "simulate", "--pendulum", "3", "--steps", "3",
+                    "--trials", trials, "--out", str(out))
+    assert code == 1
+    assert doc["error"].endswith(f"(cap 100); use fewer {hint}")
+    assert not out.exists()
+
+
+def test_chunked_csv_digest_is_that_of_the_file(capsys, tmp_path):
+    out = tmp_path / "traj.csv"
+    code, _ = run(capsys, "simulate", "--pendulum", "200", "--steps", "100",
+                  "--seed", "1", "--out", str(out))
+    assert code == 0
+    assert out.stat().st_size > 2 * sim.CSV_CHUNK_CHARS  # several chunks
+    manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+    assert manifest["result_digest"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def seeded_family():

@@ -10,29 +10,30 @@ from mjlstab.linalg import (
     dense_radius,
     inf_norm,
     krylov_radius,
-    kron,
     kron_power,
     spectral_radius,
 )
 
 
-def test_kron_matches_numpy():
+def test_kron_power_matches_numpy_on_rectangular():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 2))
-    b = rng.normal(size=(2, 4))
-    assert np.array_equal(kron(a, b), np.kron(a, b))
+    assert np.array_equal(kron_power(a, 2), np.kron(a, a))
 
 
-def test_kron_rejects_oversized_result(monkeypatch):
-    a = np.ones((100, 100))
-    monkeypatch.setattr(linalg, "BYTE_CAP", 80_000)
-    with pytest.raises(SizeLimitError):
-        kron(a, a)
+def test_kron_power_checks_each_product(monkeypatch):
+    # the third product, 100 x 100 entries by 10 x 10, holds 8e6 bytes
+    p = np.ones((10, 10))
+    monkeypatch.setattr(linalg, "BYTE_CAP", 8_000_000)
+    assert kron_power(p, 3).shape == (1000, 1000)
+    monkeypatch.setattr(linalg, "BYTE_CAP", 8_000_000 - 1)
+    with pytest.raises(SizeLimitError, match="8000000 bytes"):
+        kron_power(p, 3)
 
 
-def test_kron_rejects_non_finite():
+def test_kron_power_rejects_non_finite():
     with pytest.raises(ValueError):
-        kron(np.array([[np.nan]]), np.eye(1))
+        kron_power(np.array([[np.nan]]), 1)
 
 
 def test_kron_power_basics():

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mjlstab import sim
+from mjlstab import linalg, sim
 from mjlstab._parallel import parallel_map
+from mjlstab.linalg import SizeLimitError
 
 from mjlstab.model import (
     DelayChain,
@@ -40,6 +41,13 @@ def two_agent(a=0.9, c=0.3, chain=None, both=True):
     return DncsModel(n_agents=2, n=1, tau_d=1, blocks=blocks, chain=chain)
 
 
+def csv_text(export, data) -> str:
+    """The text that `export(data, write)` passes to `write`, joined."""
+    chunks = []
+    export(data, chunks.append)
+    return "".join(chunks)
+
+
 def diag_only(a=0.8, n_agents=3):
     blocks = {(i, i): np.array([[a]]) for i in range(1, n_agents + 1)}
     chain = DelayChain(P=[[1.0]], pi0=[1.0])
@@ -54,8 +62,8 @@ def diag_only(a=0.8, n_agents=3):
 def test_same_seed_reproduces_csv_bytes():
     model = two_agent()
     cfg = SimConfig(steps=30, seed=7)
-    a = trajectory_csv(simulate_trajectory(model, cfg))
-    b = trajectory_csv(simulate_trajectory(model, cfg))
+    a = csv_text(trajectory_csv, simulate_trajectory(model, cfg))
+    b = csv_text(trajectory_csv, simulate_trajectory(model, cfg))
     assert a == b
 
 
@@ -396,6 +404,38 @@ def test_config_validation():
         SimConfig(steps=5, trials=0)
 
 
+def fail_generator(seed, trial):
+    raise AssertionError("a generator was made before the size check")
+
+
+def test_trajectory_size_check_refuses_before_allocating(monkeypatch):
+    # kept record: 4 rows of N*n = 6 states and 3 rows of L = 4 delays
+    model, config = build_pendulum_model(3), SimConfig(steps=3)
+    need = 8 * (4 * 6 + 3 * 4)
+    monkeypatch.setattr(linalg, "BYTE_CAP", need)
+    assert simulate_trajectory(model, config).states.shape == (4, 6)
+    monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
+    monkeypatch.setattr(sim, "_trial_generator", fail_generator)
+    with pytest.raises(SizeLimitError, match=rf"{need} bytes \(cap {need - 1}\); use fewer --steps"):
+        simulate_trajectory(model, config)
+
+
+def test_estimate_size_check_refuses_before_allocating(monkeypatch):
+    model, config = build_pendulum_model(3), SimConfig(steps=3, trials=5)
+    block = -(-5 // min(os.cpu_count() or 1, 5))
+    # N*n = 6, L = 4, q = 2: four state arrays, the ring and its two
+    # scratch arrays, three per-link arrays and a generator per trial of a
+    # block; the index and the squared norms (twice) for every trial
+    per_trial = 8 * (4 * 6 + 4 * 4 * 2 + 3 * 4) + sim._GENERATOR_BYTES
+    need = 8 * 5 + 16 * 5 * 4 + block * per_trial
+    monkeypatch.setattr(linalg, "BYTE_CAP", need)
+    assert estimate_ms(model, config).shape == (4,)
+    monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
+    monkeypatch.setattr(sim, "_trial_generator", fail_generator)
+    with pytest.raises(SizeLimitError, match=rf"{need} bytes \(cap {need - 1}\); use fewer --trials"):
+        estimate_ms(model, config)
+
+
 def test_unknown_init_rule_rejected():
     with pytest.raises(ValueError, match="unknown init rule"):
         simulate_trajectory(two_agent(), SimConfig(steps=2, init="gaussian"))
@@ -409,7 +449,7 @@ def test_unknown_init_rule_rejected():
 def test_trajectory_csv_layout_scalar_agents():
     model = two_agent()
     rec = simulate_trajectory(model, SimConfig(steps=3, init=[0.25, -1.0]))
-    text = trajectory_csv(rec)
+    text = csv_text(trajectory_csv, rec)
     lines = text.strip().split("\n")
     assert lines[0] == "k,x_1,x_2,sqnorm"
     assert len(lines) == 5
@@ -422,14 +462,14 @@ def test_trajectory_csv_layout_scalar_agents():
 def test_trajectory_csv_layout_vector_agents():
     model = build_pendulum_model(2)
     rec = simulate_trajectory(model, SimConfig(steps=2, init=[1.0, 2.0, 3.0, 4.0]))
-    lines = trajectory_csv(rec).strip().split("\n")
+    lines = csv_text(trajectory_csv, rec).strip().split("\n")
     assert lines[0] == "k,x_1_1,x_1_2,x_2_1,x_2_2,sqnorm"
 
 
 def test_csv_values_round_trip_exactly():
     model = two_agent()
     rec = simulate_trajectory(model, SimConfig(steps=8, seed=13))
-    lines = trajectory_csv(rec).strip().split("\n")[1:]
+    lines = csv_text(trajectory_csv, rec).strip().split("\n")[1:]
     for k, line in enumerate(lines):
         parts = line.split(",")
         assert int(parts[0]) == k
@@ -439,7 +479,7 @@ def test_csv_values_round_trip_exactly():
 
 def _per_value_csv(record) -> str:
     """Reference CSV text: one format(float(v), ".17g") call per value."""
-    lines = [trajectory_csv(record).split("\n", 1)[0]]
+    lines = [csv_text(trajectory_csv, record).split("\n", 1)[0]]
     for k, (row, sq) in enumerate(zip(record.states, record.sqnorm)):
         lines.append(f"{k}," + ",".join(format(float(v), ".17g") for v in row)
                      + "," + format(float(sq), ".17g"))
@@ -455,28 +495,57 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def _drop(chunk: str) -> None:
+    pass
+
+
+# one chunk of text, its joined copy and one row's floats, whatever the length
+CSV_PEAK_BOUND = 2**20
+
+
 def test_trajectory_csv_matches_per_value_format_and_its_peak():
     """200 pendulums over 400 steps, plus a row of special values: the same
-    text as formatting each value on its own, at no higher tracemalloc
-    peak. The build holds the lines and the joined text, and one row's
-    Python floats at a time; converting the whole array at once would add
-    about 5 MB of floats."""
+    text as formatting each value on its own. The export holds one chunk's
+    lines, their joined text and one row's Python floats at a time, so its
+    tracemalloc peak is bounded by the chunk size, not by the text (3.5 MB
+    here); converting the whole array at once would add about 5 MB of
+    floats."""
     rec = simulate_trajectory(build_pendulum_model(200), SimConfig(steps=400, seed=1))
-    text = trajectory_csv(rec)
+    text = csv_text(trajectory_csv, rec)
     same = text == _per_value_csv(rec)  # kept out of the assert: no 3.5 MB diff
     assert same
-    peak = _traced_peak(trajectory_csv, rec)
+    peak = _traced_peak(trajectory_csv, rec, _drop)
     assert peak <= _traced_peak(_per_value_csv, rec)
-    assert peak <= 2 * len(text) + 2**20
+    assert peak <= CSV_PEAK_BOUND
     special = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 1 / 3,
                          1e16, 0.1 + 0.2]])
     rec.states, rec.sqnorm = special, np.array([np.nan])
-    assert trajectory_csv(rec).split("\n")[1] == _per_value_csv(rec).split("\n")[1]
-    assert mean_square_csv(special[0]).split("\n")[1:-1] == [
+    assert (csv_text(trajectory_csv, rec).split("\n")[1]
+            == _per_value_csv(rec).split("\n")[1])
+    assert csv_text(mean_square_csv, special[0]).split("\n")[1:-1] == [
         f"{k},{format(v, '.17g')}" for k, v in enumerate(special[0].tolist())]
 
 
+def test_trajectory_csv_peak_does_not_grow_with_the_text():
+    """At 4000 steps (35 MB of text) the export to a sink that drops each
+    chunk peaks below the same bound as at 400 steps in the test above:
+    the text is never held whole."""
+    rec = simulate_trajectory(build_pendulum_model(200), SimConfig(steps=4000, seed=1))
+    assert _traced_peak(trajectory_csv, rec, _drop) <= CSV_PEAK_BOUND
+
+
+def test_csv_chunks_are_whole_lines_of_about_the_chunk_size():
+    rec = simulate_trajectory(build_pendulum_model(200), SimConfig(steps=100, seed=1))
+    chunks = []
+    trajectory_csv(rec, chunks.append)
+    widest = max(len(line) + 1 for line in "".join(chunks).split("\n"))
+    assert len(chunks) > 1 and chunks[-1].endswith("\n")
+    for chunk in chunks[:-1]:
+        assert chunk.endswith("\n")
+        assert sim.CSV_CHUNK_CHARS <= len(chunk) < sim.CSV_CHUNK_CHARS + widest
+
+
 def test_mean_square_csv_layout():
-    text = mean_square_csv([4.0, 1.0, 0.25])
+    text = csv_text(mean_square_csv, [4.0, 1.0, 0.25])
     assert text == "k,mean_sq\n0,4\n1,1\n2,0.25\n"
 

@@ -20,7 +20,6 @@ from mjlstab.stability import (
     mss_test_full,
     mss_test_reduced,
     second_moment_map,
-    stack_covariance,
     verdict,
 )
 from mjlstab.switched import ModeFamily, build_mode_family
@@ -139,6 +138,12 @@ def test_covariance_step_rejects_mismatched_state():
     other = ModeFamily.from_matrices(np.zeros((2, 2, 2)), np.full((2, 2), 0.5))
     with pytest.raises(ValueError, match="does not match"):
         covariance_step(fam, covariance_init(other))
+
+
+def stack_covariance(state) -> np.ndarray:
+    """Column-major vectorization of every Q_s, stacked mode by mode: the
+    vector the test matrix propagates."""
+    return np.concatenate([q.reshape(-1, order="F") for q in state.Q])
 
 
 def test_stacked_covariance_follows_test_matrix():
