@@ -59,10 +59,8 @@ from .stability import (
     verdict,
 )
 from .switched import (
-    DelayConfig,
     ModeFamily,
     build_mode_family,
-    build_mode_matrix,
     enumerate_links,
     mode_count,
     mode_count_formula,
@@ -75,7 +73,6 @@ __all__ = [
     "BoundsInfeasibleError",
     "CovarianceState",
     "DelayChain",
-    "DelayConfig",
     "DncsModel",
     "ModeFamily",
     "ModelError",
@@ -88,7 +85,6 @@ __all__ = [
     "block_norm_sufficient",
     "build_global_matrix",
     "build_mode_family",
-    "build_mode_matrix",
     "build_pendulum_model",
     "column_corners",
     "compute_bounds",

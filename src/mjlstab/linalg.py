@@ -1,10 +1,10 @@
 """Linear-algebra kernels shared by the analysis modules.
 
 Two spectral-radius solvers, both numpy only: `krylov_radius` (restarted
-Arnoldi on a matrix-vector product) for every scope the cone iteration does
-not settle and every large component of the nominal check, and
-`spectral_radius` (dense QR) for small nominal checks, after Krylov gives up
-(`dense_radius`), in `robust.grid_scan_max_rho` and as the tests' oracle.
+Arnoldi on a matrix-vector product) for every scope and every large
+component of the nominal check, and `spectral_radius` (dense QR) for small
+nominal checks, after Krylov gives up (`dense_radius`), in
+`robust.grid_scan_max_rho` and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ def krylov_radius(apply, start) -> float | None:
     keeps the KRYLOV_STEPS // 2 Ritz vectors of largest modulus (a complex
     pair by its real and imaginary parts), as ARPACK keeps half its space
     for one wanted eigenvalue; a cyclic shift (none dominant) uses up the budget.
+
+    A map that is nilpotent on the first cycle's invariant subspace of
+    k >= 2 vectors gives a defective H whose eig is off by about eps^(1/k);
+    there k more applications take the start to exactly zero, and the
+    radius is 0.0.
     """
     v = np.asarray(start, dtype=float).ravel()
     steps = min(KRYLOV_STEPS, v.size)
@@ -128,6 +133,12 @@ def krylov_radius(apply, start) -> float | None:
         vals, vecs = np.linalg.eig(h[:k, :k])
         order = np.argsort(-np.abs(vals), kind="stable")
         rho = float(np.abs(vals[order[0]]))
+        if p == 0 and 2 <= k < steps:
+            x = basis[0]
+            for _ in range(k):
+                x = apply(x)
+            if not x.any():
+                return 0.0
         if k < steps or abs(h[k, :k] @ vecs[:, order[0]]) <= _KRYLOV_TOL * rho:
             return rho
         kept = [part for i in order[: steps // 2] if vals[i].imag >= 0

@@ -10,11 +10,11 @@ neighborhood passes. Agents with the same exact local structure share one
 build and solve; symmetric agents can also be grouped in the report. Scopes
 run serially.
 
-Every scope is first tested matrix free, by the cone iteration on L (only L
-is applied, as batched matmul), so the solver state is a few stacks of
-m d x d matrices. When that does not settle, restarted Arnoldi
-(`linalg.krylov_radius`) runs on L, with a basis of KRYLOV_STEPS + 1
-stacks; only when that gives up is the dense test matrix built.
+Every scope is tested matrix free, by restarted Arnoldi
+(`linalg.krylov_radius`) on L from the stacked identities: only L is
+applied, as batched matmul, so the solver state is a basis of
+KRYLOV_STEPS + 1 stacks of m d x d matrices. Only when Arnoldi gives up is
+the dense test matrix built.
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for
@@ -40,15 +40,6 @@ MARGINAL_BAND = 1e-9
 # relabeling (factorial in the neighborhood size) to the identity labeling,
 # which may split classes but never merges distinct subsystems.
 _CANONICAL_LIMIT = 8
-
-# Step budget and relative error target of the cone iteration (`_cone_radius`).
-_CONE_MAX_ITER = 500
-_CONE_TOL = 1e-13
-# A change that shrinks by no more than _CONE_STALL per step cannot meet
-# _CONE_TOL within the budget (0.95^500 is 7e-12); the cone iteration gives
-# up after _CONE_STALL_STEPS such steps that each also reverse the growth.
-_CONE_STALL = 0.95
-_CONE_STALL_STEPS = 8
 
 
 def verdict(rho: float) -> str:
@@ -103,7 +94,7 @@ class ScopeResult:
     verdict: str
     m: int
     dim: int
-    solver: str  # "cone", "krylov" or "dense": the route of `scope_radius`
+    solver: str  # "krylov" or "dense": the route of `scope_radius`
 
 
 @dataclass
@@ -150,74 +141,34 @@ def _scope_result(family: ModeFamily) -> ScopeResult:
 
 
 def scope_radius(family: ModeFamily) -> float:
-    """Spectral radius of the second-moment operator L of one scope: first
-    `_cone_radius`, matrix free; when that does not settle (a periodic
-    chain, say), `linalg.krylov_radius` on L from the stacked identities;
-    when that gives up, `linalg.dense_radius` of the test matrix. Raises
-    SizeLimitError before the cone iteration when the Krylov state (its
-    basis and one vector, m*d^2 float64s each) would exceed BYTE_CAP."""
+    """Spectral radius of the second-moment operator L of one scope:
+    `linalg.krylov_radius` on L from the stacked identities, matrix free;
+    when that gives up (a chain that cycles through modes of one modulus,
+    say), `linalg.dense_radius` of the test matrix. Raises SizeLimitError
+    before any step when the Krylov state (its basis and one vector,
+    m*d^2 float64s each) would exceed BYTE_CAP.
+
+    The start excites the radius: L maps the PSD cone into itself (Costa,
+    Fragoso & Marques, Discrete-Time Markov Jump Linear Systems, 2005,
+    ch. 3), so rho(L) is an eigenvalue of L whose dual eigenvector Y is a
+    nonzero stack of PSD matrices. Then <Y, I> = sum_s tr Y_s > 0: the
+    start has a component along the Perron eigenvector, and rho(L) is in
+    the spectrum of L on the Krylov space.
+    """
     return _solve_scope(family)[0]
 
 
 def _solve_scope(family: ModeFamily) -> tuple[float, str]:
-    """`scope_radius` and the solver that produced it: "cone", "krylov" or
-    "dense"."""
+    """`scope_radius` and the solver that produced it: "krylov" or "dense"."""
     m, d = family.mode_count, family.state_dim
     dim = m * d * d
     what = f"scope {family.label}: the spectral test's"
     check_bytes(8 * dim * (KRYLOV_STEPS + 2), f"{what} solver state", _size_hint(family.scope))
-    rho = _cone_radius(family)
-    if rho is not None:
-        return rho, "cone"
     rho = krylov_radius(lambda v: second_moment_map(family, v.reshape(m, d, d)).ravel(),
                         np.tile(np.eye(d).ravel(), m))
     if rho is not None:
         return rho, "krylov"
     return dense_radius(dim, lambda: mss_matrix(family).matrix, f"{what} dense matrix"), "dense"
-
-
-def _cone_radius(family: ModeFamily) -> float | None:
-    """Spectral radius of L by power iteration from the stacked identities,
-    or None when it does not settle within _CONE_MAX_ITER steps.
-
-    L maps the PSD cone into itself (Costa, Fragoso & Marques, Discrete-Time
-    Markov Jump Linear Systems, 2005, ch. 3), so its radius is an eigenvalue
-    with a PSD eigenvector, and the growth of the trace tends to it. The
-    iteration stops on an a-posteriori error estimate: with r the ratio of
-    successive changes of the growth, a geometric tail has |change| r/(1-r)
-    left to go. The estimate must pass twice in a row, so one change that
-    happens to be tiny cannot stop it. A periodic chain keeps the growth
-    oscillating and gets None: early, after _CONE_STALL_STEPS steps in a row
-    that each reverse the growth's direction without shrinking its change
-    below _CONE_STALL times the last one.
-    """
-    m, d = family.mode_count, family.state_dim
-    x = np.broadcast_to(np.eye(d) / (m * d), (m, d, d))
-    growth = step = change = 0.0
-    passed = stalled = 0
-    for _ in range(_CONE_MAX_ITER):
-        y = second_moment_map(family, x)
-        prev, growth = growth, float(np.trace(y, axis1=1, axis2=2).sum())
-        if growth == 0.0:
-            return 0.0
-        prev_step, step = step, growth - prev
-        prev_change, change = change, abs(step)
-        if change == 0.0:
-            error = 0.0
-        elif change < prev_change:
-            r = change / prev_change
-            error = change * r / (1.0 - r)
-        else:
-            error = np.inf
-        passed = passed + 1 if error <= _CONE_TOL * growth else 0
-        if passed == 2:
-            return growth
-        reverses = step * prev_step < 0.0
-        stalled = stalled + 1 if reverses and change >= _CONE_STALL * prev_change else 0
-        if stalled == _CONE_STALL_STEPS:
-            return None
-        x = y / growth
-    return None
 
 
 def mss_test_family(family: ModeFamily) -> StabilityReport:

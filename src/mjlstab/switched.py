@@ -74,41 +74,6 @@ def mode_count_formula(model: DncsModel, i: int) -> int:
     return model.q ** (n_hat * (n_hat - 1))
 
 
-@dataclass(frozen=True)
-class DelayConfig:
-    """One assignment of delays to links, with its enumeration index.
-
-    digits[t] is the delay of the t-th link in the sorted link list; the
-    index is the big-endian base-q value of the digit string.
-    """
-
-    digits: tuple[int, ...]
-    index: int
-
-    @classmethod
-    def from_index(cls, index: int, q: int, n_links: int) -> "DelayConfig":
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        if not 0 <= index < q**n_links:
-            raise ValueError(f"index {index} out of range for q={q}, L={n_links}")
-        digits = []
-        rem = index
-        for _ in range(n_links):
-            digits.append(rem % q)
-            rem //= q
-        return cls(digits=tuple(reversed(digits)), index=index)
-
-    @classmethod
-    def from_digits(cls, digits, q: int) -> "DelayConfig":
-        digits = tuple(int(d) for d in digits)
-        if any(not 0 <= d < q for d in digits):
-            raise ValueError(f"delay digit out of range 0..{q - 1}: {digits}")
-        index = 0
-        for d in digits:
-            index = index * q + d
-        return cls(digits=digits, index=index)
-
-
 def _scope_agents(model: DncsModel, scope: int | None) -> list[int]:
     if scope is None:
         return list(range(1, model.n_agents + 1))
@@ -144,22 +109,6 @@ def _assemble(
     return w
 
 
-def build_mode_matrix(
-    model: DncsModel, scope: int | None, config: DelayConfig
-) -> np.ndarray:
-    """Augmented matrix of one delay mode for the given scope."""
-    links = enumerate_links(model, scope)
-    if len(config.digits) != len(links):
-        raise ValueError(
-            f"config has {len(config.digits)} digits but scope has "
-            f"{len(links)} links"
-        )
-    if any(not 0 <= d <= model.tau_d for d in config.digits):
-        raise ValueError(f"delay digit out of range 0..{model.tau_d}")
-    digits = np.array([config.digits], dtype=int)
-    return _assemble(model, _scope_agents(model, scope), links, digits)[0]
-
-
 def _check_chain(p, m: int, label: str) -> np.ndarray:
     """`p` as a finite row-stochastic m x m float array; errors name it `label`."""
     p = np.asarray(p, dtype=float)
@@ -176,9 +125,9 @@ def _check_chain(p, m: int, label: str) -> np.ndarray:
 class ModeFamily:
     """All mode matrices of one scope plus the matching joint delay chain.
 
-    matrices[idx] is the mode whose DelayConfig index is idx; joint_P is the
-    Kronecker power of the per-link transition matrix under the same digit
-    ordering, and joint_pi0 the matching initial distribution. The operator
+    matrices[idx] is the mode whose link delays, as big-endian base-q
+    digits over the sorted link list, spell idx; joint_P is the Kronecker
+    power of the per-link transition matrix under the same digit ordering, and joint_pi0 the matching initial distribution. The operator
     and the bounds read only this chain: `dataclasses.replace` swaps it.
     """
 

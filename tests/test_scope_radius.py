@@ -1,13 +1,13 @@
-"""The matrix-free spectral test of scopes: cone iteration on the
-second-moment operator at every size, then restarted Arnoldi
-(`linalg.krylov_radius`) when it does not settle and the dense eigensolve
-only when that gives up, the byte cap on solver state, and one build and
-solve per exact local structure in the reduced test. Dense eig of the test
-matrix, scipy's ARPACK on the operator and the covariance recursion are the
-oracles."""
+"""The matrix-free spectral test of scopes: restarted Arnoldi
+(`linalg.krylov_radius`) on the second-moment operator from the stacked
+identities at every size, and the dense eigensolve only when that gives up,
+the byte cap on solver state, and one build and solve per exact local
+structure in the reduced test. Dense eig of the test matrix, scipy's ARPACK
+on the operator and the covariance recursion are the oracles."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +15,9 @@ from scipy.sparse.linalg import LinearOperator, eigs
 
 from mjlstab import linalg, stability
 from mjlstab.cli import main
-from mjlstab.linalg import QR_CUTOFF, SizeLimitError, kron_power
+from mjlstab.linalg import KRYLOV_STEPS, QR_CUTOFF, SizeLimitError, kron_power
 from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
 from mjlstab.stability import (
-    _cone_radius,
     _local_structure,
     _scope_result,
     _solve_scope,
@@ -27,6 +26,7 @@ from mjlstab.stability import (
     covariance_trace,
     mss_matrix,
     mss_test_family,
+    mss_test_full,
     mss_test_reduced,
     scope_radius,
     second_moment_map,
@@ -51,15 +51,6 @@ def arpack_rho(fam):
     v0 = np.random.default_rng(0).standard_normal(dim)
     vals = eigs(op, k=1, which="LM", v0=v0, ncv=40, tol=0.0, return_eigenvectors=False)
     return float(np.abs(vals).max())
-
-
-def krylov_rho(fam):
-    """`linalg.krylov_radius` on the operator from the stacked identities,
-    the start `scope_radius` gives it when the cone iteration does not
-    settle."""
-    m, d = fam.mode_count, fam.state_dim
-    return linalg.krylov_radius(lambda v: second_moment_map(fam, v.reshape(m, d, d)).ravel(),
-                                np.tile(np.eye(d).ravel(), m))
 
 
 def covariance_growth(fam, steps):
@@ -93,6 +84,17 @@ def ladder_model(seed):
         blocks[(b, a)] = rng.uniform(0.05, 0.1, size=(1, 1))
     chain = DelayChain(P=[[0.6, 0.4], [0.3, 0.7]], pi0=[1.0, 0.0])
     return DncsModel(n_agents=8, n=1, tau_d=1, blocks=blocks, chain=chain)
+
+
+def jittered_pendulum_model(n_agents=1000, seed=0):
+    """The pendulum chain with each diagonal block scaled by
+    1 + 0.01 U(-1, 1): every agent has its own local structure."""
+    base = build_pendulum_model(n_agents)
+    scale = 1.0 + 0.01 * np.random.default_rng(seed).uniform(-1.0, 1.0, n_agents)
+    blocks = dict(base.blocks)
+    for i in range(1, n_agents + 1):
+        blocks[(i, i)] = base.blocks[(i, i)] * scale[i - 1]
+    return replace(base, blocks=blocks)
 
 
 def contractive_family(rng, m, d):
@@ -130,7 +132,7 @@ def rotation_grid_model(side=5, theta=0.8, radius=0.6, coupling=0.05):
 
 
 # ---------------------------------------------------------------------------
-# Periodic chains: the cone iteration hands over to Krylov
+# Periodic chains
 # ---------------------------------------------------------------------------
 
 
@@ -143,88 +145,90 @@ def test_deterministic_chain_matches_dense_eig(chain):
     p = (np.roll(np.eye(16), 1, axis=1) if chain == "cyclic"
          else kron_power([[0.0, 1.0], [1.0, 0.0]], 4))
     fam = ModeFamily.from_matrices(base.matrices, p)
-    assert _cone_radius(fam) is None
     scope = mss_test_family(fam).scopes[0]
     assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
     assert scope.solver == "krylov"
 
 
 # ---------------------------------------------------------------------------
-# Solver order: the cone iteration first at every size
+# Solver order: Krylov at every size, the dense matrix only after it
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """("cone", result) per `_cone_radius` call and ("mss_matrix",) per
+    """("krylov", result) per `krylov_radius` call and ("mss_matrix",) per
     dense test matrix built, in call order."""
     calls = []
-    real_cone, real_mss = stability._cone_radius, stability.mss_matrix
+    real_krylov, real_mss = stability.krylov_radius, stability.mss_matrix
 
-    def cone(*args):
-        rho = real_cone(*args)
-        calls.append(("cone", rho))
+    def krylov(*args):
+        rho = real_krylov(*args)
+        calls.append(("krylov", rho))
         return rho
 
     def mss(*args):
         calls.append(("mss_matrix",))
         return real_mss(*args)
 
-    monkeypatch.setattr(stability, "_cone_radius", cone)
+    monkeypatch.setattr(stability, "krylov_radius", krylov)
     monkeypatch.setattr(stability, "mss_matrix", mss)
     return calls
 
 
-def test_small_scopes_take_the_cone_iteration(solver_calls):
+def test_small_scopes_take_krylov(solver_calls):
     fam = endpoint_family()
     assert fam.mode_count * fam.state_dim ** 2 == 256
     scope = mss_test_family(fam).scopes[0]
-    assert solver_calls == [("cone", scope.rho)]
-    assert scope.solver == "cone"
-    assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-9)
-
-
-def test_small_periodic_scope_takes_krylov(solver_calls):
-    # the cyclic chain keeps the cone iteration's growth oscillating; Arnoldi
-    # resolves it without the dense test matrix
-    base = endpoint_family()
-    fam = ModeFamily.from_matrices(base.matrices, np.roll(np.eye(base.mode_count), 1, axis=1))
-    assert fam.mode_count * fam.state_dim ** 2 <= QR_CUTOFF
-    scope = mss_test_family(fam).scopes[0]
-    assert solver_calls == [("cone", None)]
+    assert solver_calls == [("krylov", scope.rho)]
     assert scope.solver == "krylov"
     assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
 
 
+def test_small_periodic_scope_takes_krylov(solver_calls):
+    # a power iteration on the cyclic chain oscillates; Arnoldi resolves it
+    # without the dense test matrix
+    base = endpoint_family()
+    fam = ModeFamily.from_matrices(base.matrices, np.roll(np.eye(base.mode_count), 1, axis=1))
+    assert fam.mode_count * fam.state_dim ** 2 <= QR_CUTOFF
+    scope = mss_test_family(fam).scopes[0]
+    assert solver_calls == [("krylov", scope.rho)]
+    assert scope.solver == "krylov"
+    assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
+
+
+def test_full_network_scope_takes_one_krylov_cycle(monkeypatch):
+    # 64 modes of a 16-dimensional augmented state: 16384 rows
+    steps = []
+    real = stability.second_moment_map
+    monkeypatch.setattr(stability, "second_moment_map",
+                        lambda *args: steps.append(1) or real(*args))
+    scope = mss_test_full(build_pendulum_model(4)).scopes[0]
+    assert (scope.dim, scope.solver) == (16384, "krylov")
+    assert len(steps) <= 2 * KRYLOV_STEPS
+
+
 def test_scope_falls_back_to_dense_eig_after_krylov_stalls(solver_calls):
     # 64 scalar modes visited in a cycle: L is a weighted cyclic shift whose
-    # 64 eigenvalues share one modulus, so neither iteration has a dominant
-    # direction
+    # 64 eigenvalues share one modulus, so Arnoldi has no dominant direction
     rng = np.random.default_rng(12)
     fam = ModeFamily.from_matrices(rng.uniform(0.5, 1.0, (64, 1, 1)),
                                    np.roll(np.eye(64), 1, axis=1))
     scope = mss_test_family(fam).scopes[0]
-    assert solver_calls == [("cone", None), ("mss_matrix",)]
+    assert solver_calls == [("krylov", None), ("mss_matrix",)]
     assert scope.solver == "dense"
     assert scope.rho == dense_rho(fam)
 
 
 @pytest.mark.parametrize("case", ["scalar_flip", "endpoint_flip"])
-def test_period_two_chain_gives_up_early(case, monkeypatch):
-    # a joint chain that flips every step keeps the growth alternating with
-    # a change that does not shrink; the cone iteration stops long before
-    # its 500-step budget and Krylov answers
+def test_period_two_chain_takes_krylov(case):
+    # a joint chain that flips every step keeps a power iteration's growth
+    # alternating; Arnoldi answers
     flip = [[0.0, 1.0], [1.0, 0.0]]
     if case == "scalar_flip":
         fam = ModeFamily.from_matrices([[[0.5]], [[0.8]]], flip)
     else:
         fam = ModeFamily.from_matrices(endpoint_family().matrices, kron_power(flip, 2))
-    steps = []
-    real = stability.second_moment_map
-    monkeypatch.setattr(stability, "second_moment_map",
-                        lambda *args: steps.append(1) or real(*args))
-    assert _cone_radius(fam) is None
-    assert len(steps) <= 100
     rho, solver = _solve_scope(fam)
     assert solver == "krylov"
     assert rho == pytest.approx(dense_rho(fam), abs=1e-12)
@@ -243,8 +247,8 @@ def test_random_small_families_match_dense_eig():
         fam = ModeFamily.from_matrices(w, rng.dirichlet(np.ones(m), size=m))
         rho, solver = _solve_scope(fam)
         solvers.add(solver)
-        assert rho == pytest.approx(dense_rho(fam), abs=1e-9)
-    assert solvers == {"cone"}
+        assert rho == pytest.approx(dense_rho(fam), abs=1e-12)
+    assert solvers == {"krylov"}
 
 
 def test_nilpotent_family_has_radius_zero():
@@ -289,11 +293,13 @@ def test_ladder_scopes_match_dense_eig_and_arpack():
             arpack_rho(build_mode_family(model, scope=agent)), abs=1e-9)
     # one dense eigensolve of a 4096-row test matrix takes seconds
     fam = build_mode_family(model, scope=1)
-    dense = dense_rho(fam)
-    assert report.scopes[0].rho == pytest.approx(dense, abs=1e-9)
-    # the cone iteration settles every ladder scope; Krylov, which answers
-    # where it does not, agrees too
-    assert krylov_rho(fam) == pytest.approx(dense, abs=1e-12)
+    assert report.scopes[0].rho == pytest.approx(dense_rho(fam), abs=1e-12)
+
+
+def test_jittered_chain_endpoint_scope_matches_dense_eig():
+    fam = build_mode_family(jittered_pendulum_model(), scope=1)
+    assert fam.mode_count * fam.state_dim ** 2 == 256
+    assert scope_radius(fam) == pytest.approx(dense_rho(fam), abs=1e-12)
 
 
 def test_random_contractive_families_match_dense_eig():
@@ -301,9 +307,7 @@ def test_random_contractive_families_match_dense_eig():
     for _ in range(10):
         fam = contractive_family(rng, int(rng.integers(150, 201)), 2)
         assert 600 <= fam.mode_count * 4 <= 4096
-        dense = dense_rho(fam)
-        assert scope_radius(fam) == pytest.approx(dense, abs=1e-9)
-        assert krylov_rho(fam) == pytest.approx(dense, abs=1e-12)
+        assert scope_radius(fam) == pytest.approx(dense_rho(fam), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +346,7 @@ def test_wide_scopes_analyze_with_dedup(make, capsys, tmp_path):
 
 def test_solver_state_byte_cap(monkeypatch):
     # the Krylov basis and the vector being orthogonalized, checked at every
-    # size before the cone iteration runs
+    # size before the first step
     for agent, dim in [(1, 256), (2, 2304)]:
         fam = build_mode_family(build_pendulum_model(16), scope=agent)
         state = 8 * dim * (linalg.KRYLOV_STEPS + 2)

@@ -10,10 +10,9 @@ from mjlstab import linalg, switched
 from mjlstab.linalg import SizeLimitError, kron_power
 from mjlstab.model import DelayChain, DncsModel, build_pendulum_model, load_model
 from mjlstab.switched import (
-    DelayConfig,
     ModeFamily,
+    _assemble,
     build_mode_family,
-    build_mode_matrix,
     enumerate_links,
     mode_count,
     mode_count_formula,
@@ -33,6 +32,20 @@ def pair_model(a11=0.5, a22=0.7, c12=0.1, c21=None, tau_d=1):
         blocks[(2, 1)] = np.array([[c21]])
     chain = DelayChain(P=p, pi0=[1.0] + [0.0] * tau_d)
     return DncsModel(n_agents=2, n=1, tau_d=tau_d, blocks=blocks, chain=chain)
+
+
+def mode_index(digits, q):
+    """Index of a delay assignment in the family: the big-endian base-q
+    value of its digits, one per link in sorted link order."""
+    index = 0
+    for d in digits:
+        index = index * q + d
+    return index
+
+
+def mode_matrix(model, digits):
+    """Global-scope mode matrix of one delay assignment."""
+    return build_mode_family(model).matrices[mode_index(digits, model.q)]
 
 
 def complete_graph_model(n_agents: int, tau_d: int = 1):
@@ -93,39 +106,13 @@ def test_link_aware_counts_undershoot_formula():
 
 
 # ---------------------------------------------------------------------------
-# DelayConfig indexing
-# ---------------------------------------------------------------------------
-
-
-def test_delay_config_round_trip_big_endian():
-    cfg = DelayConfig.from_digits((2, 0, 1), q=3)
-    assert cfg.index == 2 * 9 + 0 * 3 + 1
-    again = DelayConfig.from_index(cfg.index, q=3, n_links=3)
-    assert again.digits == (2, 0, 1)
-
-
-def test_delay_config_exhaustive_round_trip():
-    q, n_links = 3, 4
-    for idx in range(q**n_links):
-        cfg = DelayConfig.from_index(idx, q=q, n_links=n_links)
-        assert DelayConfig.from_digits(cfg.digits, q=q).index == idx
-
-
-def test_delay_config_validates():
-    with pytest.raises(ValueError):
-        DelayConfig.from_index(8, q=2, n_links=3)
-    with pytest.raises(ValueError):
-        DelayConfig.from_digits((0, 2), q=2)
-
-
-# ---------------------------------------------------------------------------
 # Mode matrix assembly
 # ---------------------------------------------------------------------------
 
 
 def test_mode_matrix_delay_slots_single_link():
     model = pair_model(a11=0.5, a22=0.7, c12=0.1)
-    w0 = build_mode_matrix(model, None, DelayConfig.from_digits((0,), q=2))
+    w0 = mode_matrix(model, (0,))
     assert np.array_equal(
         w0,
         [
@@ -135,7 +122,7 @@ def test_mode_matrix_delay_slots_single_link():
             [0.0, 1.0, 0.0, 0.0],
         ],
     )
-    w1 = build_mode_matrix(model, None, DelayConfig.from_digits((1,), q=2))
+    w1 = mode_matrix(model, (1,))
     assert np.array_equal(
         w1,
         [
@@ -149,7 +136,7 @@ def test_mode_matrix_delay_slots_single_link():
 
 def test_mode_matrix_identity_shift_structure():
     model = pair_model(tau_d=2)
-    w = build_mode_matrix(model, None, DelayConfig.from_digits((2,), q=3))
+    w = mode_matrix(model, (2,))
     size = 2
     for t in range(1, 3):
         assert np.array_equal(
@@ -162,22 +149,9 @@ def test_mode_matrix_identity_shift_structure():
 def test_mode_matrix_diagonal_blocks_never_delayed():
     model = pair_model(tau_d=1)
     for digits in ((0,), (1,)):
-        w = build_mode_matrix(model, None, DelayConfig.from_digits(digits, q=2))
+        w = mode_matrix(model, digits)
         assert w[0, 0] == 0.5
         assert w[1, 1] == 0.7
-
-
-def test_mode_matrix_rejects_digit_mismatch():
-    model = pair_model()
-    with pytest.raises(ValueError, match="1 links"):
-        build_mode_matrix(model, None, DelayConfig.from_digits((0, 1), q=2))
-
-
-def test_mode_matrix_rejects_out_of_range_delay():
-    model = pair_model(tau_d=1)
-    cfg = DelayConfig.from_digits((2,), q=3)  # valid for q=3, not this model
-    with pytest.raises(ValueError, match="out of range"):
-        build_mode_matrix(model, None, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +205,10 @@ def test_build_mode_family_matches_per_index_assembly():
     model = pair_model(c21=0.2, tau_d=1)
     fam = build_mode_family(model)
     assert fam.mode_count == 4
-    for idx in range(4):
-        cfg = DelayConfig.from_index(idx, q=2, n_links=2)
-        assert np.array_equal(fam.matrices[idx], build_mode_matrix(model, None, cfg))
+    links = enumerate_links(model)
+    for digits in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        one = _assemble(model, [1, 2], links, np.array([digits]))[0]
+        assert np.array_equal(fam.matrices[mode_index(digits, 2)], one)
 
 
 def test_joint_chain_alignment_with_mode_indexing():
@@ -243,11 +218,11 @@ def test_joint_chain_alignment_with_mode_indexing():
     fam = build_mode_family(model)
     p = np.asarray(model.chain.P)
     n_links = 2
-    for r in range(4):
-        rd = DelayConfig.from_index(r, q=2, n_links=n_links).digits
-        for s in range(4):
-            sd = DelayConfig.from_index(s, q=2, n_links=n_links).digits
+    assignments = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for rd in assignments:
+        for sd in assignments:
             expected = np.prod([p[rd[t], sd[t]] for t in range(n_links)])
+            r, s = mode_index(rd, 2), mode_index(sd, 2)
             assert fam.joint_P[r, s] == pytest.approx(expected, abs=1e-15)
     assert np.array_equal(fam.joint_P, kron_power(p, 2))
 
