@@ -15,12 +15,12 @@ block matrix. At every size, a homogeneous network of identical agents with
 one coupling block K and symmetric weights, I (x) C + W (x) K, has its
 spectrum in closed form: the union of spec(C + lambda K) over the
 eigenvalues lambda of W, so it needs one symmetric eigensolve of W and N
-tiny n x n ones, and no scipy. Any other network takes a dense eigensolve
-up to `QR_CUTOFF` rows; above, it is split along the strongly connected
-components of the coupling graph (by scipy) and each large component is
-assembled block-sparse (scipy BSR), its radius taken from
-`linalg.krylov_radius`; small components, and large ones on which Krylov
-gives up, get a dense eigensolve.
+tiny n x n ones. Any other network takes a dense eigensolve up to
+`QR_CUTOFF` rows; above, it is split along the strongly connected components
+of the coupling graph (Tarjan's search over the senders index) and each large
+component's radius is taken by `linalg.krylov_radius` on a block
+matrix-vector product read from `blocks`; small components, and large ones on
+which Krylov gives up, get a dense eigensolve. Every path uses numpy alone.
 """
 
 from __future__ import annotations
@@ -230,38 +230,88 @@ def build_global_matrix(model: DncsModel) -> np.ndarray:
     return a
 
 
-def _block_sparse(model: DncsModel, agents: list[int]):
-    """The delay-free network matrix restricted to `agents` (sorted) as a
-    scipy block-sparse (BSR) array, one n x n block per stored coupling
-    between them; no dense matrix is formed."""
-    from scipy.sparse import bsr_array
+def _block_matrix(model: DncsModel, agents: list[int]):
+    """The delay-free network matrix restricted to `agents` (sorted), read
+    from `model.blocks`: its product with a vector, and a builder of it
+    dense.
 
+    The product gathers each stored coupling's sender state one coordinate
+    at a time, multiplies by broadcasting (as `sim._products` does) and sums
+    the products per receiver row with one `np.bincount`; no matrix is
+    formed. Coupling-last layouts keep each multiply contiguous: that halves
+    the product's time against one coupling per row.
+    """
+    n = model.n
     pos = {a: k for k, a in enumerate(agents)}
-    indptr, indices, data = [0], [], []
-    for i in agents:
-        for j in sorted((i, *senders(model, i))):
-            if j in pos:
-                indices.append(pos[j])
-                data.append(model.blocks[(i, j)])
-        indptr.append(len(indices))
-    size = len(agents) * model.n
-    return bsr_array((np.stack(data), np.array(indices), np.array(indptr)),
-                     shape=(size, size))
+    keys = [(i, j) for i in agents for j in (i, *senders(model, i)) if j in pos]
+    recv, send = np.array([(pos[i], pos[j]) for i, j in keys]).T
+    data = np.stack([model.blocks[key] for key in keys])
+    # column c of every block (n x couplings) and the state entries it meets
+    cols = [np.ascontiguousarray(data[:, :, c].T) for c in range(n)]
+    picks = [send * n + c for c in range(n)]
+    slots = (recv * n + np.arange(n)[:, None]).ravel()
+    rows = len(agents) * n
+
+    def apply(x):
+        prod = cols[0] * x.take(picks[0])
+        for c in range(1, n):
+            prod += cols[c] * x.take(picks[c])
+        return np.bincount(slots, prod.ravel(), minlength=rows)
+
+    def dense():
+        a = np.zeros((len(agents), n, len(agents), n))
+        a[recv, :, send, :] = data
+        return a.reshape(rows, rows)
+
+    return apply, dense
 
 
 def _strong_components(model: DncsModel) -> list[list[int]]:
     """Strongly connected components of the agent graph (an edge j -> i per
-    stored block (i, j)), each a sorted list of agents."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
+    stored block (i, j)), each a sorted list of agents, ordered by their
+    first agent.
 
-    rows, cols = np.array(list(model.blocks)).T - 1
-    graph = csr_array((np.ones(rows.size), (rows, cols)),
-                      shape=(model.n_agents, model.n_agents))
-    count, labels = connected_components(graph, directed=True, connection="strong")
-    order = np.argsort(labels, kind="stable")
-    return [(c + 1).tolist()
-            for c in np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])]
+    Tarjan's depth-first search (SIAM J. Comput. 1972) over the senders
+    index, run with an explicit stack so a long path does not recurse.
+    Reversing every edge leaves the components as they are, so following
+    each agent to its senders finds those of the graph above.
+    """
+    size = model.n_agents + 1
+    # order of visit from 1 (0: not yet visited); an agent whose component
+    # is found gets `size`, above every open index, so edges into it change
+    # no low link
+    index, low = [0] * size, [0] * size
+    stack, found, count = [], [], 0
+
+    def visit(v):
+        nonlocal count
+        count += 1
+        index[v] = low[v] = count
+        stack.append(v)
+        return v, iter(model._senders[v])
+
+    for root in range(1, size):
+        path = [] if index[root] else [visit(root)]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if not index[w]:
+                    path.append(visit(w))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:  # v roots a component: pop it
+                    part = [stack.pop()]
+                    while part[-1] != v:
+                        part.append(stack.pop())
+                    for w in part:
+                        index[w] = size
+                    found.append(sorted(part))
+    return sorted(found)
 
 
 def _kronecker_radius(model: DncsModel) -> float | None:
@@ -339,9 +389,10 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     This gives feed-forward structure (chains, leader-follower networks,
     isolated agents), whose nilpotent or defective spectra give Krylov no
     dominant direction, to small exact eigensolves. A component above
-    QR_CUTOFF rows runs `krylov_radius` on its block-sparse matrix from a
-    seeded start; a smaller one, or one on which Krylov gives up (many
-    eigenvalues of top modulus, say), takes `linalg.dense_radius`.
+    QR_CUTOFF rows runs `krylov_radius` on its block matrix-vector product
+    (`_block_matrix`, no matrix formed) from a seeded start; a smaller one,
+    or one on which Krylov gives up (many eigenvalues of top modulus, say),
+    takes `linalg.dense_radius` of its dense block matrix.
     """
     rho = _kronecker_radius(model)
     if rho is not None:
@@ -351,12 +402,12 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
         return rho, rho < 1.0
     rho = 0.0
     for agents in _strong_components(model):
-        sub = _block_sparse(model, agents)
-        rows = sub.shape[0]
-        r = (krylov_radius(sub.__matmul__, np.random.default_rng(_START_SEED).standard_normal(rows))
+        apply, dense = _block_matrix(model, agents)
+        rows = len(agents) * model.n
+        r = (krylov_radius(apply, np.random.default_rng(_START_SEED).standard_normal(rows))
              if rows > QR_CUTOFF else None)
         if r is None:
-            r = dense_radius(rows, sub.toarray, f"nominal check: a {rows}-row component")
+            r = dense_radius(rows, dense, f"nominal check: a {rows}-row component")
         rho = max(rho, r)
     return rho, rho < 1.0
 

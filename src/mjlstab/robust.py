@@ -67,6 +67,13 @@ class BoundsInfeasibleError(RuntimeError):
     """The nominal chain already fails the norm margin (some beta <= 0)."""
 
 
+def _check_margin(margin: float) -> None:
+    """Raise ValueError for a NaN or infinite margin: every comparison with
+    NaN is False, so `min beta <= margin` would pass it through to NaN eps."""
+    if not np.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin!r}")
+
+
 def solve_bound_lp(
     family: ModeFamily,
     direction: str = "upper",
@@ -86,8 +93,10 @@ def solve_bound_lp(
     passes its own.
 
     Requires beta_s > margin for every s (the nominal point must satisfy
-    the margin strictly); raises BoundsInfeasibleError otherwise.
+    the margin strictly); raises BoundsInfeasibleError otherwise, and
+    ValueError for a margin that is not finite.
     """
+    _check_margin(margin)
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
     m, p = family.mode_count, family.joint_P
@@ -155,8 +164,9 @@ def compute_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     When some beta_s <= margin the nominal chain sits outside the
     norm-certifiable region; that is reported in-band as feasible=False with
     eps = 0 (the condition is only sufficient, so the exact spectral test may
-    still pass there).
+    still pass there). A margin that is not finite raises ValueError.
     """
+    _check_margin(margin)
     alpha = alphas(family)
     return _two_step(family, alpha, betas(alpha, family.joint_P), margin)
 
@@ -179,8 +189,10 @@ def weighted_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     every perturbation in the box has sum_r alpha_r |dp_rs| <= beta_s - margin
     in every column. When some beta_s <= margin (the nominal chain is
     unstable, or closer to the margin than this V can show) the result is
-    feasible=False with eps = 0.
+    feasible=False with eps = 0. A margin that is not finite raises
+    ValueError.
     """
+    _check_margin(margin)
     m, d = family.mode_count, family.state_dim
     rho = scope_radius(family)
     # the floor keeps V well conditioned when L is nilpotent (rho = 0)

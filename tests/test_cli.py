@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import mjlstab
 import test_sim
 from mjlstab import cli, linalg, sim
 from mjlstab.cli import main
-from mjlstab.model import DelayChain, DncsModel, build_pendulum_model, dump_model
+from mjlstab.model import (DelayChain, DncsModel, build_global_matrix, build_pendulum_model,
+                           dump_model)
 from test_sim import pendulum_tau2
 
 SCALAR_FAMILY = {
@@ -229,6 +231,16 @@ def test_robust_margin_flag(capsys, tmp_path):
     )
     assert code == 0
     assert doc["classes"][0]["eps"] == pytest.approx([0.4, 0.0328], abs=1e-12)
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["family", "pendulum"])
+def test_robust_rejects_non_finite_margin(capsys, tmp_path, source, margin):
+    # a NaN margin used to exit 0 with "feasible": true and bare NaN eps
+    where = family_file(tmp_path) if source == "family" else "2"
+    code, doc = run(capsys, "robust", f"--{source}", where, f"--margin={margin}")
+    assert code == 1
+    assert doc == {"error": f"margin must be finite, got {float(margin)!r}"}
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +608,42 @@ def test_periodic_wide_scope_leaves_scipy_unloaded(tmp_path):
     scope = json.loads(proc.stdout)["scopes"][0]
     assert (scope["dim"], scope["solver"]) == (2304, "krylov")
     assert proc.stderr.split() == ["0", "False"]
+
+
+def test_general_nominal_check_runs_without_scipy(tmp_path):
+    # networks that are not homogeneous, above the dense cutoff: the nominal
+    # check splits each into strongly connected components and runs Krylov
+    # on the large ones (the jittered chain, the random model) or falls back
+    # to the dense eigensolve (the shift ring), with scipy unimportable. A
+    # memoryless delay chain keeps the jittered chain's scopes small; the
+    # nominal check does not read the chain.
+    from test_model import DEGENERATE, _N, random_sparse_model, static_model
+    from test_scope_radius import jittered_pendulum_model
+
+    memoryless = DelayChain(P=[[1.0]], pi0=[1.0])
+    models = {
+        "jittered": replace(jittered_pendulum_model(260), tau_d=0, chain=memoryless),
+        "shift_ring": static_model(_N, 2, DEGENERATE["shift_ring"]),
+        "random": random_sparse_model(1, n_agents=300, n=2, degree=5.0, isolated=10),
+    }
+    for name, model in models.items():
+        assert model.n_agents * model.n > linalg.QR_CUTOFF
+        (tmp_path / f"{name}.json").write_text(dump_model(model))
+    src = str(Path(mjlstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys; sys.modules['scipy'] = None; import mjlstab.cli; "
+             f"codes = [mjlstab.cli.main(['analyze', '--model', f'{{name}}.json', "
+             f"'--out', f'{{name}}.out.json']) for name in {sorted(models)!r}]; "
+             "print(*codes, *[m for m, mod in sys.modules.items() "
+             "if m.split('.')[0] == 'scipy' and mod is not None], file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
+                          capture_output=True, text=True, timeout=120)
+    codes = proc.stderr.split()
+    assert len(codes) == 3 and "1" not in codes
+    for name, model in models.items():
+        rho = json.loads((tmp_path / f"{name}.out.json").read_text())["nominal"]["rho"]
+        dense = np.max(np.abs(np.linalg.eigvals(build_global_matrix(model))))
+        assert rho == pytest.approx(dense, abs=1e-12)
 
 
 def test_full_test_refusal_points_to_reduced_test(capsys):

@@ -638,6 +638,83 @@ def test_nominal_dense_fallback_respects_byte_cap(monkeypatch):
     assert rho == pytest.approx(_dense_rho(model), abs=1e-12)
 
 
+def _scipy_components(model: DncsModel) -> list[list[int]]:
+    """Strongly connected components by scipy's csgraph, the oracle of
+    `_strong_components`: sorted agent lists, ordered by their first agent."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    rows, cols = np.array(list(model.blocks)).T - 1
+    graph = csr_array((np.ones(rows.size), (rows, cols)), shape=(model.n_agents,) * 2)
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    order = np.argsort(labels, kind="stable")
+    parts = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    return sorted((part + 1).tolist() for part in parts)
+
+
+def random_digraph_model(seed: int, n_agents: int) -> DncsModel:
+    """Seeded scalar model on a random directed graph: one-way links between
+    random ordered pairs, some two-way pairs (2-cycles), and a tenth of the
+    agents with no link at all, only their diagonal block."""
+    rng = np.random.default_rng(seed)
+    blocks = {(i, i): np.array([[0.5]]) for i in range(1, n_agents + 1)}
+    lonely = set(rng.choice(np.arange(1, n_agents + 1), n_agents // 10, replace=False).tolist())
+    for k in range(n_agents + n_agents // 10):
+        i, j = (int(a) for a in rng.integers(1, n_agents + 1, size=2))
+        if i != j and i not in lonely and j not in lonely:
+            blocks[(i, j)] = np.array([[0.1]])
+            if k >= n_agents:
+                blocks[(j, i)] = np.array([[0.1]])
+    return static_model(n_agents, 1, blocks)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_strong_components_match_scipy(seed):
+    from mjlstab.model import _strong_components
+
+    model = random_digraph_model(seed, n_agents=20 + 15 * seed)
+    found = _strong_components(model)
+    assert found == _scipy_components(model)
+    sizes = [len(part) for part in found]
+    assert 1 in sizes and max(sizes) > 1
+
+
+_LONG = 20_000
+LONG_GRAPHS = {
+    # an edge j -> i per stored (i, j): the search follows each agent to its
+    # senders, so the first path is one walk 20,000 agents deep
+    "path_to_first": {(i, i + 1): [[1.0]] for i in range(1, _LONG)},
+    "path_to_last": {(i + 1, i): [[1.0]] for i in range(1, _LONG)},
+    "ring": {(i, i % _LONG + 1): [[1.0]] for i in range(1, _LONG + 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_GRAPHS))
+def test_strong_components_of_long_graphs_do_not_recurse(name):
+    from mjlstab.model import _strong_components
+
+    blocks = {**{(i, i): [[0.5]] for i in range(1, _LONG + 1)}, **LONG_GRAPHS[name]}
+    model = static_model(_LONG, 1, blocks)
+    found = _strong_components(model)
+    assert found == _scipy_components(model)
+    assert len(found) == (1 if name == "ring" else _LONG)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_matrix_matches_global_matrix(n):
+    from mjlstab.model import _block_matrix, _strong_components
+
+    model = random_sparse_model(n, n_agents=60, n=n, degree=2.0, isolated=5)
+    full = build_global_matrix(model)
+    x = np.random.default_rng(n).standard_normal(full.shape[0])
+    for agents in [list(range(1, 61)), *_strong_components(model)]:
+        rows = np.concatenate([np.arange((a - 1) * n, a * n) for a in agents])
+        sub = full[np.ix_(rows, rows)]
+        apply, dense = _block_matrix(model, agents)
+        assert np.array_equal(dense(), sub)
+        assert np.allclose(apply(x[rows]), sub @ x[rows], rtol=0, atol=1e-15)
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """Sizes of the matrices passed to np.linalg.eigvalsh, one per call."""

@@ -139,6 +139,15 @@ def test_solve_bound_lp_raises_outside_margin():
         solve_bound_lp(scalar_family(), margin=0.07)
 
 
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bound", [compute_bounds, weighted_bounds, solve_bound_lp])
+def test_non_finite_margin_is_rejected(bound, margin):
+    # a NaN margin compares False with every beta, so it would pass the
+    # feasibility check and give NaN eps reported as feasible
+    with pytest.raises(ValueError, match="margin must be finite"):
+        bound(scalar_family(), margin=margin)
+
+
 def test_compute_bounds_evaluates_alphas_once(monkeypatch):
     rng = np.random.default_rng(7)
     mats = rng.normal(size=(5, 2, 2))
