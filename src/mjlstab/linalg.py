@@ -2,8 +2,8 @@
 
 Two spectral-radius solvers, both numpy only: `krylov_radius` (restarted
 Arnoldi on a matrix-vector product) for every scope and every large
-component of the nominal check, and `spectral_radius` (dense QR) for small
-nominal checks, after Krylov gives up (`dense_radius`), in
+component of the nominal check, and `spectral_radius` (dense QR) for the
+small components, after Krylov gives up (`dense_radius`), in
 `robust.grid_scan_max_rho` and as the tests' oracle.
 """
 
@@ -16,9 +16,9 @@ import numpy as np
 # reads it at call time.
 BYTE_CAP = 800_000_000
 
-# Largest dimension at which the nominal check of a network that is not
-# homogeneous builds its dense matrix for `spectral_radius`; above it, it
-# runs `krylov_radius` on each strongly connected component.
+# Largest strongly connected component, in rows, that the nominal check of
+# a network that is not homogeneous gives to `dense_radius`; a larger one
+# runs `krylov_radius` first.
 QR_CUTOFF = 512
 
 # Arnoldi steps per cycle of `krylov_radius` (its basis holds one vector

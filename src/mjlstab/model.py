@@ -15,12 +15,12 @@ block matrix. At every size, a homogeneous network of identical agents with
 one coupling block K and symmetric weights, I (x) C + W (x) K, has its
 spectrum in closed form: the union of spec(C + lambda K) over the
 eigenvalues lambda of W, so it needs one symmetric eigensolve of W and N
-tiny n x n ones. Any other network takes a dense eigensolve up to
-`QR_CUTOFF` rows; above, it is split along the strongly connected components
-of the coupling graph (Tarjan's search over the senders index) and each large
-component's radius is taken by `linalg.krylov_radius` on a block
-matrix-vector product read from `blocks`; small components, and large ones on
-which Krylov gives up, get a dense eigensolve. Every path uses numpy alone.
+tiny n x n ones. Any other network is split along the strongly connected
+components of the coupling graph (Tarjan's search over the senders index)
+and each component above `QR_CUTOFF` rows has its radius taken by
+`linalg.krylov_radius` on a block matrix-vector product read from `blocks`;
+smaller components, and large ones on which Krylov gives up, get a dense
+eigensolve. Every path uses numpy alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import QR_CUTOFF, dense_radius, krylov_radius, spectral_radius
+from .linalg import QR_CUTOFF, dense_radius, krylov_radius
 
 _STOCH_TOL = 1e-12
 
@@ -382,13 +382,12 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     from `eigvalsh` of the dense N x N matrix. C + lambda K is one n x n
     eigensolve each.
 
-    Every other model takes `spectral_radius` of its dense matrix up to
-    QR_CUTOFF rows. Above, it is split into the strongly connected
-    components of the coupling graph; ordered by them the matrix is block
-    triangular, so its spectrum is the union of the components' spectra.
-    This gives feed-forward structure (chains, leader-follower networks,
-    isolated agents), whose nilpotent or defective spectra give Krylov no
-    dominant direction, to small exact eigensolves. A component above
+    Every other model is split into the strongly connected components of
+    the coupling graph; ordered by them the matrix is block triangular, so
+    its spectrum is the union of the components' spectra. This gives
+    feed-forward structure (chains, leader-follower networks, isolated
+    agents), whose nilpotent or defective spectra give Krylov no dominant
+    direction, to small exact eigensolves. A component above
     QR_CUTOFF rows runs `krylov_radius` on its block matrix-vector product
     (`_block_matrix`, no matrix formed) from a seeded start; a smaller one,
     or one on which Krylov gives up (many eigenvalues of top modulus, say),
@@ -396,9 +395,6 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     """
     rho = _kronecker_radius(model)
     if rho is not None:
-        return rho, rho < 1.0
-    if model.n_agents * model.n <= QR_CUTOFF:
-        rho = spectral_radius(build_global_matrix(model))
         return rho, rho < 1.0
     rho = 0.0
     for agents in _strong_components(model):

@@ -5,11 +5,13 @@ perturbed system stays mean-square stable whenever, for every column s,
 sum_r alpha_r |dp_rs| < beta_s, where beta_s is the nominal margin of that
 column and alpha_r how much a unit of probability moved into mode r uses of
 it. The two-step procedure turns this into per-row bounds eps_r: step 1
-pushes each column's perturbation as far up and as far down as the margin and
-the box constraints allow (the columns decouple, and each is a fractional
-knapsack with one row; all of them share the objective and the row, so
-`lp.lp_solve` solves every column in one closed-form pass per direction),
-step 2 takes the per-row worst case over columns and directions.
+pushes each column's perturbation as far up as the margin and the box
+constraints allow (the columns decouple, and each is a fractional knapsack
+with one row; all of them share the objective and the row, so one
+`lp.lp_solve` pass solves every column), step 2 takes the per-row worst
+case over columns and both directions. Step 1 runs upward only: with
+alpha >= 0 no downward move loosens the row, so the downward optimum of
+every column is its lower box end, -P (Dantzig 1957).
 
 Two certificates supply alpha and beta:
 
@@ -41,20 +43,22 @@ Two certificates supply alpha and beta:
   the box is certified by its own inequality.
 
 Perturbations are structured: each row of the chain must still sum to one, so
-every admissible dP has zero row sums, and entries of nominal+dP must stay in
-[0, 1] (which is where the per-column boxes come from).
+every admissible dP has zero row sums, and entries of P + dP must stay in
+[0, 1] (which is where the per-column boxes come from). Every function reads
+the family's joint_P as the nominal chain P; to bound or check around another
+chain, pass `dataclasses.replace(family, joint_P=p)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .linalg import spectral_radius
 from .lp import lp_solve
 from .stability import alphas, betas, mss_matrix, scope_radius, second_moment_map
-from .switched import ModeFamily, _check_chain
+from .switched import ModeFamily
 
 # The weighting V sums K = _SERIES_TERMS powers of L at c = rho (1 + _C_GAP).
 # Both only set how tight the margins are: beta and alpha are computed
@@ -74,21 +78,15 @@ def _check_margin(margin: float) -> None:
         raise ValueError(f"margin must be finite, got {margin!r}")
 
 
-def solve_bound_lp(
-    family: ModeFamily,
-    direction: str = "upper",
-    margin: float = 0.0,
-    *,
-    alpha=None,
-    beta=None,
-) -> np.ndarray:
+def solve_bound_lp(family: ModeFamily, margin: float = 0.0, *, alpha=None,
+                   beta=None) -> np.ndarray:
     """Step 1: per-column extremal perturbations under the norm margin.
 
-    For each column s, maximize (direction="upper") or minimize ("lower")
-    sum_r z_r subject to sum_r alpha_r z_r <= beta_s - margin and the box
-    -P[r, s] <= z_r <= 1 - P[r, s] around the family's chain P. Columns are
-    independent; one `lp_solve` call solves them all and returns the
-    per-column optimizers as the columns of an m x m array.
+    For each column s, maximize sum_r z_r subject to sum_r alpha_r z_r <=
+    beta_s - margin and the box -P[r, s] <= z_r <= 1 - P[r, s] around the
+    family's chain P. Columns are independent; one `lp_solve` call solves
+    them all and returns the per-column optimizers as the columns of an
+    m x m array.
     alpha and beta default to the infinity-norm certificate; weighted_bounds
     passes its own.
 
@@ -97,42 +95,27 @@ def solve_bound_lp(
     ValueError for a margin that is not finite.
     """
     _check_margin(margin)
-    if direction not in ("upper", "lower"):
-        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    m, p = family.mode_count, family.joint_P
+    p = family.joint_P
     if alpha is None:
         alpha = alphas(family)
     if beta is None:
-        beta = betas(alpha, p)
+        beta = betas(family, alpha)
     if np.min(beta) <= margin:
         raise BoundsInfeasibleError(
             f"nominal chain fails the norm margin: min beta = {beta.min():.6g} "
             f"(margin {margin:.6g})"
         )
-
-    sign = 1.0 if direction == "upper" else -1.0
-    return lp_solve(np.full(m, sign), alpha, beta - margin, -p, 1.0 - p)
-
-
-def feasible_bound(z_lb, z_ub) -> np.ndarray:
-    """Step 2: per-row bound eps_r = min over columns and directions of the
-    absolute optimizer entries."""
-    z_lb = np.asarray(z_lb, dtype=float)
-    z_ub = np.asarray(z_ub, dtype=float)
-    if z_lb.shape != z_ub.shape or z_lb.ndim != 2:
-        raise ValueError("z_lb and z_ub must be equal-shape 2-d arrays")
-    return np.minimum(np.abs(z_lb).min(axis=1), np.abs(z_ub).min(axis=1))
+    return lp_solve(alpha, beta - margin, -p, 1.0 - p)
 
 
 @dataclass(eq=False)
 class BoundResult:
     """Outcome of the two-step bound estimation for one mode family.
-    `to_dict` leaves out z_ub and z_lb: megabytes of JSON at m=256."""
+    `to_dict` leaves out z_ub: megabytes of JSON at m=256."""
 
     alpha: np.ndarray
     beta: np.ndarray
     z_ub: np.ndarray = field(repr=False)
-    z_lb: np.ndarray = field(repr=False)
     eps: np.ndarray
     feasible: bool
 
@@ -146,20 +129,21 @@ class BoundResult:
 
 
 def _two_step(family: ModeFamily, alpha, beta, margin: float) -> BoundResult:
-    """Both step-1 directions, then the step-2 eps, under the given alpha
-    and beta; feasible=False with eps = 0 when some beta_s <= margin."""
+    """Step 1 under the given alpha and beta, then step 2: eps_r is the
+    least |z| in row r over the columns of both directions, where the
+    downward optimum is -P. feasible=False with eps = 0 when some
+    beta_s <= margin."""
     m = family.mode_count
     try:
-        z_ub = solve_bound_lp(family, "upper", margin, alpha=alpha, beta=beta)
+        z_ub = solve_bound_lp(family, margin, alpha=alpha, beta=beta)
     except BoundsInfeasibleError:
-        zeros = np.zeros((m, m))
-        return BoundResult(alpha, beta, zeros, zeros.copy(), np.zeros(m), False)
-    z_lb = solve_bound_lp(family, "lower", margin, alpha=alpha, beta=beta)
-    return BoundResult(alpha, beta, z_ub, z_lb, feasible_bound(z_lb, z_ub), True)
+        return BoundResult(alpha, beta, np.zeros((m, m)), np.zeros(m), False)
+    eps = np.minimum(np.abs(family.joint_P).min(axis=1), np.abs(z_ub).min(axis=1))
+    return BoundResult(alpha, beta, z_ub, eps, True)
 
 
 def compute_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
-    """Full pipeline: alphas, betas, both LP directions, then eps.
+    """Full pipeline: alphas, betas, the step-1 LP, then eps.
 
     When some beta_s <= margin the nominal chain sits outside the
     norm-certifiable region; that is reported in-band as feasible=False with
@@ -168,7 +152,7 @@ def compute_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     """
     _check_margin(margin)
     alpha = alphas(family)
-    return _two_step(family, alpha, betas(alpha, family.joint_P), margin)
+    return _two_step(family, alpha, betas(family, alpha), margin)
 
 
 def _top_eig(m, v) -> np.ndarray:
@@ -184,10 +168,10 @@ def weighted_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
 
     Builds V = sum_{k<K} L^k(I) / c^k with c just above the spectral radius
     of L at the nominal chain, takes beta and alpha from V (see the module
-    docstring), runs both step-1 LP directions with them, and scales the
-    step-2 eps by t = min(1, (min beta - margin) / sum_r alpha_r eps_r), so
-    every perturbation in the box has sum_r alpha_r |dp_rs| <= beta_s - margin
-    in every column. When some beta_s <= margin (the nominal chain is
+    docstring), runs the step-1 LP with them, and scales the step-2 eps by
+    t = min(1, (min beta - margin) / sum_r alpha_r eps_r), so every
+    perturbation in the box has sum_r alpha_r |dp_rs| <= beta_s - margin in
+    every column. When some beta_s <= margin (the nominal chain is
     unstable, or closer to the margin than this V can show) the result is
     feasible=False with eps = 0. A margin that is not finite raises
     ValueError.
@@ -214,17 +198,18 @@ def weighted_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     return result
 
 
-def column_corners(nominal, eps) -> np.ndarray:
-    """The m chains at the column corners of the box |dp_rs| <= eps_r.
+def column_corners(family: ModeFamily, eps) -> np.ndarray:
+    """The m chains at the column corners of the box |dp_rs| <= eps_r around
+    the family's chain.
 
     Corner s moves eps_r of every row r into column s, taken from that row's
     largest other entry. Each puts the largest load sum_r alpha_r eps_r on
     column s that the box allows, so they are where a bound box is checked
     against the spectral test when the chain has more than two modes.
     """
-    nominal = np.asarray(nominal, dtype=float)
+    nominal = family.joint_P
     eps = np.asarray(eps, dtype=float)
-    m = nominal.shape[0]
+    m = family.mode_count
     if eps.shape != (m,):
         raise ValueError("eps must have one entry per mode")
     rows = np.arange(m)
@@ -236,46 +221,48 @@ def column_corners(nominal, eps) -> np.ndarray:
     return corners
 
 
-def robust_sufficient(family: ModeFamily, nominal, delta) -> bool:
-    """Norm-based sufficient stability check of a structured perturbation.
+def robust_sufficient(family: ModeFamily, delta) -> bool:
+    """Norm-based sufficient stability check of a structured perturbation of
+    the family's chain.
 
     delta must have zero row sums (rows of a chain keep summing to one) and
-    nominal+delta must stay entrywise in [0, 1]; violations raise ValueError.
-    True means every column satisfies sum_r alpha_r |delta_rs| < beta_s,
-    which guarantees the perturbed spectral test still passes. False says
-    nothing either way.
+    joint_P + delta must stay entrywise in [0, 1]; violations raise
+    ValueError. True means every column satisfies
+    sum_r alpha_r |delta_rs| < beta_s, which guarantees the perturbed
+    spectral test still passes. False says nothing either way.
     """
     m = family.mode_count
-    nominal = _check_chain(nominal, m, "nominal chain")
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (m, m):
         raise ValueError(f"delta: expected ({m}, {m}), got {delta.shape}")
     if np.any(np.abs(delta.sum(axis=1)) > 1e-10):
         raise ValueError("perturbation rows must sum to zero")
-    perturbed = nominal + delta
+    perturbed = family.joint_P + delta
     if np.any(perturbed < -1e-12) or np.any(perturbed > 1.0 + 1e-12):
         raise ValueError("perturbed chain leaves [0, 1]")
     alpha = alphas(family)
-    beta = betas(alpha, nominal)
-    return bool(np.all(alpha @ np.abs(delta) < beta))
+    return bool(np.all(alpha @ np.abs(delta) < betas(family, alpha)))
 
 
-def grid_scan_max_rho(
-    family: ModeFamily, nominal, eps, resolution: float = 1e-3
-) -> float:
+def grid_scan_max_rho(family: ModeFamily, eps, resolution: float = 1e-3) -> float:
     """Worst spectral radius over the certified box, for 2-mode chains.
 
     Scans the two free perturbation parameters (one per row, since row sums
     are pinned to zero) on a grid of the given resolution, evaluating the
-    spectral test at every admissible chain nominal + dP with |dp_r| <= eps_r.
+    spectral test at every admissible chain joint_P + dP with
+    |dp_r| <= eps_r. Raises ValueError for a resolution that is not finite
+    and positive. The test matrix is linear in the chain, so it is built
+    once for each chain that jumps to mode s from every mode, and each grid
+    point adds the two with column block r scaled by P[r, s].
     """
     m = family.mode_count
     if m != 2:
         raise ValueError("grid scan is implemented for 2-mode chains only")
-    nominal = _check_chain(nominal, m, "nominal chain")
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (2,):
         raise ValueError("eps must have one entry per mode")
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
 
     def axis(bound: float) -> np.ndarray:
         if bound <= 0:
@@ -283,12 +270,14 @@ def grid_scan_max_rho(
         count = int(round(2 * bound / resolution)) + 1
         return np.linspace(-bound, bound, count)
 
+    into = [mss_matrix(replace(family, joint_P=np.eye(2)[[s, s]])).matrix for s in range(2)]
+    d2 = family.state_dim**2
     worst = 0.0
     for t1 in axis(eps[0]):
         for t2 in axis(eps[1]):
-            p = nominal + np.array([[t1, -t1], [t2, -t2]])
+            p = family.joint_P + np.array([[t1, -t1], [t2, -t2]])
             if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
                 continue
-            test = mss_matrix(family, transition=p).matrix
+            test = into[0] * np.repeat(p[:, 0], d2) + into[1] * np.repeat(p[:, 1], d2)
             worst = max(worst, spectral_radius(test))
     return worst

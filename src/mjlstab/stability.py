@@ -24,13 +24,14 @@ the spectral verdicts.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .linalg import KRYLOV_STEPS, check_bytes, dense_radius, inf_norm, krylov_radius
 from .model import DncsModel, neighborhood
-from .switched import ModeFamily, _check_chain, _size_hint, build_mode_family, enumerate_links
+from .switched import ModeFamily, _size_hint, build_mode_family, enumerate_links
 
 # Spectral radii within this distance of 1 are reported as "marginal" rather
 # than being forced into a stable/unstable boolean.
@@ -59,19 +60,14 @@ class MssTestMatrix:
     scope: str = "global"
 
 
-def mss_matrix(family: ModeFamily, transition=None) -> MssTestMatrix:
+def mss_matrix(family: ModeFamily) -> MssTestMatrix:
     """Build the test matrix whose spectral radius decides stability.
 
     Block (s, r) equals P[r, s] * (W_r kron W_r): it maps the stacked
-    per-mode second moments forward one step. `transition` overrides the
-    family's joint chain (used by robustness scans that try perturbed
-    chains against fixed mode matrices).
+    per-mode second moments forward one step. P is the family's joint chain;
+    for another chain, pass `dataclasses.replace(family, joint_P=p)`.
     """
-    p = family.joint_P if transition is None else np.asarray(transition, dtype=float)
-    m = family.mode_count
-    if p.shape != (m, m):
-        raise ValueError(f"transition: expected ({m}, {m}), got {p.shape}")
-    d = family.state_dim
+    m, d = family.mode_count, family.state_dim
     dim = m * d * d
     check_bytes(8 * dim * dim, f"test matrix {dim}x{dim}")
     out = np.empty((dim, dim))
@@ -80,7 +76,7 @@ def mss_matrix(family: ModeFamily, transition=None) -> MssTestMatrix:
         w = family.matrices[r]
         kr = np.kron(w, w)
         # column block r: rows s get P[r, s] * (W_r kron W_r)
-        out[:, r * d2 : (r + 1) * d2] = np.kron(p[r][:, None], kr)
+        out[:, r * d2 : (r + 1) * d2] = np.kron(family.joint_P[r][:, None], kr)
     return MssTestMatrix(matrix=out, scope=family.label)
 
 
@@ -195,21 +191,35 @@ def dedup_agents(model: DncsModel) -> list[list[int]]:
     one exactly onto the corresponding block of the other. Each class can
     then be analyzed through a single representative.
 
-    The canonical signature is a function of an agent's exact local
-    structure and its center's position in the sorted neighborhood, so its
-    permutation search runs once per distinct pair of the two.
+    Agents key on their exact local structure and the center's position in
+    the sorted neighborhood. A key whose `_summary`, which relabeling cannot
+    change, no other key shares can match no other key and is its own class
+    label; only the others run the permutation search of the canonical
+    signature, a function of the key.
     """
-    signatures: dict = {}
-    groups: dict = {}
+    keys, first = [], {}  # first: the first agent of each key, its neighborhood and links
     for agent in range(1, model.n_agents + 1):
         nb = neighborhood(model, agent)
         links = enumerate_links(model, agent)
         pos = {a: k for k, a in enumerate(nb)}
-        key = (_structure(model, nb, links, pos), pos[agent])
-        if key not in signatures:
-            signatures[key] = _canonical_signature(model, agent, nb, links)
-        groups.setdefault(signatures[key], []).append(agent)
+        keys.append((_structure(model, nb, links, pos), pos[agent]))
+        first.setdefault(keys[-1], (agent, nb, links))
+    shared = Counter(_summary(key) for key in first)
+    labels = {key: _canonical_signature(model, *scope) if shared[_summary(key)] > 1 else key
+              for key, scope in first.items()}
+    groups: dict = {}
+    for agent, key in enumerate(keys, 1):
+        groups.setdefault(labels[key], []).append(agent)
     return sorted(groups.values(), key=min)
+
+
+def _summary(key):
+    """What relabeling leaves of an exact key (`_structure`, center
+    position): the neighborhood size, the center's diagonal block, and the
+    sorted diagonal and link blocks."""
+    (size, diag, links), center = key
+    return (size, diag[center][1], tuple(sorted(b for _, b in diag)),
+            tuple(sorted(b for *_, b in links)))
 
 
 def _canonical_signature(model: DncsModel, agent: int, nb, links):
@@ -293,17 +303,17 @@ def alphas(family: ModeFamily) -> np.ndarray:
     return np.array([inf_norm(w) ** 2 for w in family.matrices])
 
 
-def betas(alpha, nominal) -> np.ndarray:
-    """Per-column stability margins: beta_s = 1 - sum_r nominal[r, s] * alpha_r.
+def betas(family: ModeFamily, alpha) -> np.ndarray:
+    """Per-column stability margins of the family's chain P under the norm
+    coefficients alpha: beta_s = 1 - sum_r P[r, s] * alpha_r.
 
     Negative entries mean the nominal chain itself is outside the
     norm-certifiable region.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    return 1.0 - alpha @ _check_chain(nominal, alpha.shape[0], "nominal chain")
+    return 1.0 - np.asarray(alpha, dtype=float) @ family.joint_P
 
 
-def block_norm_sufficient(family: ModeFamily, transition=None) -> bool:
+def block_norm_sufficient(family: ModeFamily) -> bool:
     """Quick sufficient test: row sums of mode-norm blocks all below one.
 
     For every block row s of the test matrix, sum_r P[r, s] * |W_r kron W_r|
@@ -311,8 +321,7 @@ def block_norm_sufficient(family: ModeFamily, transition=None) -> bool:
     bounds the spectral radius). True implies the spectral test passes;
     false says nothing.
     """
-    p = family.joint_P if transition is None else transition
-    return bool(np.all(betas(alphas(family), p) > 0.0))
+    return bool(np.all(betas(family, alphas(family)) > 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,10 @@ class ModeFamily:
 
     matrices[idx] is the mode whose link delays, as big-endian base-q
     digits over the sorted link list, spell idx; joint_P is the Kronecker
-    power of the per-link transition matrix under the same digit ordering, and joint_pi0 the matching initial distribution. The operator
-    and the bounds read only this chain: `dataclasses.replace` swaps it.
+    power of the per-link transition matrix under the same digit ordering,
+    and joint_pi0 the matching initial distribution. The operator, the
+    spectral tests and the bounds read only this chain:
+    `dataclasses.replace` swaps it.
     """
 
     scope: object

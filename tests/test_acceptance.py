@@ -10,6 +10,7 @@ determinism.
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def test_criterion_04_scalar_robust_bounds():
     nominal = [[0.4, 0.6], [0.5, 0.5]]
     fam = ModeFamily.from_matrices([[[0.5]], [[1.25]]], nominal)
     res = compute_bounds(fam)
-    worst = grid_scan_max_rho(fam, nominal, res.eps, resolution=1e-3)
+    worst = grid_scan_max_rho(fam, res.eps, resolution=1e-3)
     elapsed = time.monotonic() - started
     ok = (
         res.feasible
@@ -177,8 +178,8 @@ def test_criterion_05_pendulum_robust_bounds():
     if fallback:
         for res, fam in ((res_int, interior_fam), (res_end, endpoint_fam)):
             worst = max(
-                spectral_radius(mss_matrix(fam, transition=p).matrix)
-                for p in column_corners(fam.joint_P, res.eps)
+                spectral_radius(mss_matrix(replace(fam, joint_P=p)).matrix)
+                for p in column_corners(fam, res.eps)
             )
             fallback = fallback and worst <= 1.0 + 1e-6
 

@@ -6,12 +6,12 @@ import pytest
 from mjlstab.lp import lp_solve
 
 
-def solve(c, a, b, lb, ub):
-    """One column: maximize c^T x s.t. a x <= b, lb <= x <= ub."""
+def solve(a, b, lb, ub):
+    """One column: maximize sum(x) s.t. a x <= b, lb <= x <= ub."""
     lb = np.asarray(lb, dtype=float)[:, None]
     ub = np.asarray(ub, dtype=float)[:, None]
-    return lp_solve(np.asarray(c, dtype=float), np.asarray(a, dtype=float),
-                    np.atleast_1d(np.asarray(b, dtype=float)), lb, ub)[:, 0]
+    return lp_solve(np.asarray(a, dtype=float), np.atleast_1d(np.asarray(b, dtype=float)),
+                    lb, ub)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -19,50 +19,34 @@ def solve(c, a, b, lb, ub):
 # ---------------------------------------------------------------------------
 
 
-def test_basic_min_prefers_cheap_variable():
-    # min 2 x0 + x1 s.t. x0 + x1 >= 3, as max -2 x0 - x1 s.t. -x0 - x1 <= -3
-    x = solve([-2.0, -1.0], [-1.0, -1.0], -3.0, [0.0, 0.0], [5.0, 5.0])
-    assert np.array([2.0, 1.0]) @ x == pytest.approx(3.0, abs=1e-9)
+def test_basic_fill_prefers_cheap_variable():
+    # max x0 + x1 s.t. 2 x0 + x1 <= 3: x1 gains as much for half the load
+    x = solve([2.0, 1.0], 3.0, [0.0, 0.0], [5.0, 5.0])
+    assert x.sum() == pytest.approx(3.0, abs=1e-9)
     assert np.allclose(x, [0.0, 3.0], atol=1e-8)
 
 
 def test_box_only_problem():
-    # a zero row leaves only the box: every variable ends at its better end
-    x = solve([1.0, 2.0], [0.0, 0.0], 0.0, [-1.0, -1.0], [2.0, 3.0])
+    # a zero row leaves only the box: every variable ends at its upper end
+    x = solve([0.0, 0.0], 0.0, [-1.0, -1.0], [2.0, 3.0])
     assert np.array_equal(x, [2.0, 3.0])
 
 
 def test_negative_rhs_goes_through_phase_one():
-    # x >= 1 written as -x <= -1: the start x = 5 has the least load, and the
-    # improving move down stops where the budget runs out
-    x = solve([-1.0], [-1.0], -1.0, [0.0], [5.0])
-    assert x[0] == pytest.approx(1.0, abs=1e-9)
+    # x0 - x1 <= -1: the start (x0, x1) = (0, 5) has the least load, 4 less
+    # than b, and the move up in x0 stops where that budget runs out
+    x = solve([1.0, -1.0], -1.0, [0.0, 0.0], [5.0, 5.0])
+    assert np.allclose(x, [4.0, 5.0], atol=1e-9)
 
 
 def test_infeasible_detected():
     with pytest.raises(ArithmeticError, match="column 0"):
-        solve([1.0], [1.0], -1.0, [0.0], [5.0])
+        solve([1.0], -1.0, [0.0], [5.0])
 
 
 def test_ties_fill_in_index_order():
-    x = solve([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.5, [0.0] * 3, [1.0] * 3)
+    x = solve([1.0, 1.0, 1.0], 1.5, [0.0] * 3, [1.0] * 3)
     assert np.array_equal(x, [1.0, 0.5, 0.0])
-
-
-def test_min_equals_negated_max():
-    # min c.x over (a, b, [lo, hi]) is -max c.y over (-a, b, [-hi, -lo]) at
-    # y = -x: the reflection swaps the start ends and the signs of the moves
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        c, a, b, lo, hi = random_problem(rng)
-        try:
-            mn = solve(-c, a, b, lo, hi)
-        except ArithmeticError:
-            with pytest.raises(ArithmeticError):
-                solve(c, -a, b, -hi, -lo)
-            continue
-        mx = solve(c, -a, b, -hi, -lo)
-        assert c @ mn == pytest.approx(-(c @ mx), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +54,10 @@ def test_min_equals_negated_max():
 # ---------------------------------------------------------------------------
 
 
-def brute_force(c, a_ub, b_ub, lb, ub, sense="max"):
+def brute_force(a_ub, b_ub, lb, ub):
     """Enumerate candidate vertices from every n-subset of the stacked
-    constraint set (rows plus box faces) and keep the best feasible one."""
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
+    constraint set (rows plus box faces) and keep the one of largest sum."""
+    n = a_ub.shape[1]
     rows = np.vstack([a_ub, np.eye(n), -np.eye(n)])
     rhs = np.concatenate([b_ub, ub, -np.asarray(lb, dtype=float)])
     best = None
@@ -86,8 +69,8 @@ def brute_force(c, a_ub, b_ub, lb, ub, sense="max"):
         x = np.linalg.solve(sq, rhs[list(subset)])
         if np.any(rows @ x > rhs + 1e-7):
             continue
-        val = float(c @ x)
-        if best is None or (val > best if sense == "max" else val < best):
+        val = float(x.sum())
+        if best is None or val > best:
             best, arg = val, x
     return best, arg
 
@@ -95,12 +78,11 @@ def brute_force(c, a_ub, b_ub, lb, ub, sense="max"):
 def random_problem(rng):
     """One row, coefficients of both signs and some exact zeros."""
     n = int(rng.integers(2, 5))
-    c = rng.uniform(-1, 1, size=n) * (rng.random(n) > 0.1)
     a = rng.uniform(-1, 1, size=n) * (rng.random(n) > 0.1)
     b = rng.uniform(-1.5, 1.0, size=1)
     lo = rng.uniform(-2.0, 0.0, size=n)
     hi = lo + rng.uniform(0.5, 3.0, size=n)
-    return c, a, b, lo, hi
+    return a, b, lo, hi
 
 
 def test_matches_vertex_enumeration_on_random_problems():
@@ -108,37 +90,22 @@ def test_matches_vertex_enumeration_on_random_problems():
     solved = 0
     infeasible = 0
     for _ in range(200):
-        c, a, b, lo, hi = random_problem(rng)
-        oracle, _ = brute_force(c, a[None, :], b, lo, hi)
+        a, b, lo, hi = random_problem(rng)
+        oracle, _ = brute_force(a[None, :], b, lo, hi)
         if oracle is None:
             with pytest.raises(ArithmeticError):
-                solve(c, a, b, lo, hi)
+                solve(a, b, lo, hi)
             infeasible += 1
             continue
-        x = solve(c, a, b, lo, hi)
+        x = solve(a, b, lo, hi)
         scale = 1.0 + abs(oracle)
-        assert abs(c @ x - oracle) <= 1e-7 * scale
+        assert abs(x.sum() - oracle) <= 1e-7 * scale
         assert a @ x <= b[0] + 1e-7
         assert np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9)
         solved += 1
     assert solved >= 100  # the generator must mostly produce feasible cases
     assert infeasible >= 10
     assert solved + infeasible == 200
-
-
-def test_matches_vertex_enumeration_minimization():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        c, a, b, lo, hi = random_problem(rng)
-        oracle, _ = brute_force(c, a[None, :], b, lo, hi, sense="min")
-        if oracle is None:
-            with pytest.raises(ArithmeticError):
-                solve(-c, a, b, lo, hi)
-            continue
-        x = solve(-c, a, b, lo, hi)
-        assert abs(c @ x - oracle) <= 1e-7 * (1.0 + abs(oracle))
-        assert a @ x <= b[0] + 1e-7
-        assert np.all(x >= lo) and np.all(x <= hi)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +117,18 @@ def test_columns_match_vertex_enumeration_per_column():
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(30):
-        c, a, _, _, _ = random_problem(rng)
-        n, k = c.shape[0], 6
+        a, _, _, _ = random_problem(rng)
+        n, k = a.shape[0], 6
         b = rng.uniform(-1.5, 1.0, size=k)
         lo = rng.uniform(-2.0, 0.0, size=(n, k))
         hi = lo + rng.uniform(0.5, 3.0, size=(n, k))
-        oracles = [brute_force(c, a[None, :], b[j:j + 1], lo[:, j], hi[:, j])[0]
+        oracles = [brute_force(a[None, :], b[j:j + 1], lo[:, j], hi[:, j])[0]
                    for j in range(k)]
         keep = [j for j in range(k) if oracles[j] is not None]
-        x = lp_solve(c, a, b[keep], lo[:, keep], hi[:, keep])
+        x = lp_solve(a, b[keep], lo[:, keep], hi[:, keep])
         assert x.shape == (n, len(keep))
         for col, j in enumerate(keep):
-            assert abs(c @ x[:, col] - oracles[j]) <= 1e-7 * (1.0 + abs(oracles[j]))
+            assert abs(x[:, col].sum() - oracles[j]) <= 1e-7 * (1.0 + abs(oracles[j]))
             assert a @ x[:, col] <= b[j] + 1e-7
             assert np.all(x[:, col] >= lo[:, j]) and np.all(x[:, col] <= hi[:, j])
             checked += 1
@@ -169,13 +136,12 @@ def test_columns_match_vertex_enumeration_per_column():
 
 
 def test_infeasible_column_is_named():
-    c = np.ones(2)
     a = np.array([1.0, 1.0])
     lb = np.zeros((2, 4))
     ub = np.ones((2, 4))
     # columns 2 and 3 need a x <= -1 from a box whose least load is 0
     b = np.array([1.0, 0.5, -1.0, -2.0])
     with pytest.raises(ArithmeticError, match="column 2 "):
-        lp_solve(c, a, b, lb, ub)
-    x = lp_solve(c, a, b[:2], lb[:, :2], ub[:, :2])
+        lp_solve(a, b, lb, ub)
+    x = lp_solve(a, b[:2], lb[:, :2], ub[:, :2])
     assert np.array_equal(x, [[1.0, 0.5], [0.0, 0.0]])

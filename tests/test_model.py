@@ -472,7 +472,7 @@ def general_path_calls(monkeypatch):
     import mjlstab.model as model_module
 
     calls = []
-    for name in ("_strong_components", "krylov_radius", "dense_radius", "spectral_radius"):
+    for name in ("_strong_components", "krylov_radius", "dense_radius"):
         def spy(*args, _real=getattr(model_module, name), _name=name):
             calls.append(_name)
             return _real(*args)
@@ -529,8 +529,9 @@ def test_small_heterogeneous_nominal_goes_through_spectral_radius(general_path_c
     model = random_sparse_model(3, n_agents=4, n=2, degree=2.0)
     assert _kronecker_radius(model) is None
     rho, _ = nominal_stability(model)
-    assert general_path_calls == ["spectral_radius"]
-    assert rho == _dense_rho(model)
+    # two strong components, {1, 2, 4} and {3}, each below the cutoff
+    assert general_path_calls == ["_strong_components", "dense_radius", "dense_radius"]
+    assert rho == pytest.approx(_dense_rho(model), abs=1e-12)
 
 
 def _with_block(model: DncsModel, key, block) -> DncsModel:

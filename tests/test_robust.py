@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mjlstab import robust
 from mjlstab.linalg import spectral_radius
+from mjlstab.lp import lp_solve
 from mjlstab.model import build_pendulum_model
 from mjlstab.robust import (
     BoundsInfeasibleError,
@@ -9,7 +13,6 @@ from mjlstab.robust import (
     betas,
     column_corners,
     compute_bounds,
-    feasible_bound,
     grid_scan_max_rho,
     robust_sufficient,
     solve_bound_lp,
@@ -29,8 +32,8 @@ def endpoint_family():
     return build_mode_family(build_pendulum_model(100), scope=1)
 
 
-def dense_rho(fam, transition=None):
-    return float(np.abs(np.linalg.eigvals(mss_matrix(fam, transition).matrix)).max())
+def dense_rho(fam):
+    return float(np.abs(np.linalg.eigvals(mss_matrix(fam).matrix)).max())
 
 
 def random_stable_families(seed, count):
@@ -63,17 +66,20 @@ def test_alphas_are_squared_norms():
 
 
 def test_betas_known_values():
-    beta = betas([0.25, 1.5625], NOMINAL)
+    beta = betas(scalar_family(), [0.25, 1.5625])
     assert np.allclose(beta, [0.11875, 0.06875], atol=1e-12)
 
 
 def test_betas_validate_nominal():
-    with pytest.raises(ValueError, match="nominal chain: expected"):
-        betas([0.25, 1.5625], np.eye(3))
+    # betas reads the family's chain, which the family checks whenever it
+    # is built or swapped
+    fam = scalar_family()
+    with pytest.raises(ValueError, match="joint_P: expected"):
+        betas(replace(fam, joint_P=np.eye(3)), [0.25, 1.5625])
     with pytest.raises(ValueError, match="row-stochastic"):
-        betas([0.25, 1.5625], [[0.6, 0.6], [0.5, 0.5]])
-    with pytest.raises(ValueError, match="nominal chain: non-finite"):
-        betas([0.25, 1.5625], [[np.nan, np.nan], [0.5, 0.5]])
+        betas(replace(fam, joint_P=[[0.6, 0.6], [0.5, 0.5]]), [0.25, 1.5625])
+    with pytest.raises(ValueError, match="joint_P: non-finite"):
+        betas(replace(fam, joint_P=[[np.nan, np.nan], [0.5, 0.5]]), [0.25, 1.5625])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +93,6 @@ def test_compute_bounds_scalar_known_solution():
     assert np.array_equal(res.alpha, [0.25, 1.5625])
     assert np.allclose(res.beta, [0.11875, 0.06875], atol=1e-12)
     assert np.allclose(res.z_ub, [[0.6, 0.4], [-0.02, -0.02]], atol=1e-12)
-    assert np.allclose(res.z_lb, -np.asarray(NOMINAL), atol=1e-12)
     assert np.allclose(res.eps, [0.4, 0.02], atol=1e-12)
 
 
@@ -99,7 +104,6 @@ def test_compute_bounds_uniform_chain_hand_solution():
     assert res.feasible
     assert np.allclose(res.beta, [0.435, 0.435], atol=1e-12)
     assert np.allclose(res.z_ub, [[0.296875, 0.296875], [0.5, 0.5]], atol=1e-12)
-    assert np.allclose(res.z_lb, -0.5 * np.ones((2, 2)), atol=1e-12)
     assert np.allclose(res.eps, [0.296875, 0.5], atol=1e-12)
 
 
@@ -116,7 +120,6 @@ def test_compute_bounds_infeasible_reported_in_band():
     assert res.feasible is False
     assert np.array_equal(res.eps, np.zeros(4))
     assert np.array_equal(res.z_ub, np.zeros((4, 4)))
-    assert np.array_equal(res.z_lb, np.zeros((4, 4)))
     assert np.allclose(res.beta, [0.2256, -0.1616, -0.1616, -0.7424], atol=1e-3)
     assert res.beta.min() < 0
 
@@ -125,11 +128,6 @@ def test_compute_bounds_margin_can_make_nominal_infeasible():
     res = compute_bounds(scalar_family(), margin=0.07)
     assert res.feasible is False
     assert np.array_equal(res.eps, np.zeros(2))
-
-
-def test_solve_bound_lp_direction_validation():
-    with pytest.raises(ValueError, match="direction"):
-        solve_bound_lp(scalar_family(), direction="sideways")
 
 
 def test_solve_bound_lp_raises_outside_margin():
@@ -157,8 +155,7 @@ def test_compute_bounds_evaluates_alphas_once(monkeypatch):
     random_fam = ModeFamily.from_matrices(mats, rng.dirichlet(np.ones(5), size=5))
     for fam in (scalar_family(), random_fam):
         alpha = alphas(fam)
-        z_ub = solve_bound_lp(fam, direction="upper")
-        z_lb = solve_bound_lp(fam, direction="lower")
+        z_ub = solve_bound_lp(fam)
         calls = []
         monkeypatch.setattr(
             "mjlstab.robust.alphas", lambda f: calls.append(f) or alphas(f)
@@ -168,14 +165,13 @@ def test_compute_bounds_evaluates_alphas_once(monkeypatch):
         assert len(calls) == 1
         assert res.feasible
         assert np.array_equal(res.alpha, alpha)
-        assert np.array_equal(res.beta, betas(alpha, fam.joint_P))
-        assert np.array_equal(res.z_ub, z_ub) and np.array_equal(res.z_lb, z_lb)
-        assert np.array_equal(res.eps, feasible_bound(z_lb, z_ub))
+        assert np.array_equal(res.beta, betas(fam, alpha))
+        assert np.array_equal(res.z_ub, z_ub)
+        assert np.array_equal(res.eps, np.minimum(fam.joint_P.min(axis=1),
+                                                  np.abs(z_ub).min(axis=1)))
 
 
 def test_solve_bound_lp_solves_all_columns_in_one_call(monkeypatch):
-    from mjlstab import robust
-
     calls = []
     real = robust.lp_solve
     monkeypatch.setattr(robust, "lp_solve", lambda *args: calls.append(args) or real(*args))
@@ -186,27 +182,27 @@ def test_solve_bound_lp_solves_all_columns_in_one_call(monkeypatch):
     assert z.shape == (fam.mode_count, fam.mode_count)
     calls.clear()
     assert compute_bounds(fam).feasible
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_lower_direction_is_minus_nominal():
-    # with alpha >= 0 no downward move loosens the row, so every column
-    # starts and stays at its lower box end, -nominal
+    # the downward step-1 program, min sum z s.t. alpha z <= beta and
+    # -P <= z <= 1 - P, is lp_solve's program in y = -z; with alpha >= 0 no
+    # downward move loosens the row, so every column starts and stays at
+    # its lower box end, -P, and step 2 reads that side as P
     fam = random_stable_families(seed=9, count=1)[0]
     fam.matrices *= 0.3
     for family, bound in ((scalar_family(), compute_bounds), (fam, compute_bounds),
                           (fam, weighted_bounds), (endpoint_family(), weighted_bounds)):
         res = bound(family)
+        p = family.joint_P
         assert res.feasible and np.all(res.alpha >= 0)
-        assert np.array_equal(res.z_lb, -family.joint_P)
-
-
-def test_feasible_bound_rowwise_minimum():
-    z_lb = np.array([[-0.4, -0.6], [-0.5, -0.5]])
-    z_ub = np.array([[0.6, 0.4], [-0.02, -0.02]])
-    assert np.array_equal(feasible_bound(z_lb, z_ub), [0.4, 0.02])
-    with pytest.raises(ValueError, match="equal-shape"):
-        feasible_bound(z_lb, z_ub[:1])
+        assert np.array_equal(-lp_solve(-res.alpha, res.beta, p - 1.0, p), -p)
+        rowwise = np.minimum(p.min(axis=1), np.abs(res.z_ub).min(axis=1))
+        if bound is compute_bounds:
+            assert np.array_equal(res.eps, rowwise)
+        else:  # scaled down into its certified box
+            assert np.all(res.eps <= rowwise)
 
 
 def test_bound_result_to_dict_round_trips_lists():
@@ -242,7 +238,6 @@ def test_weighted_bounds_unstable_reported_in_band():
     assert res.beta.min() <= 0
     assert np.array_equal(res.eps, np.zeros(2))
     assert np.array_equal(res.z_ub, np.zeros((2, 2)))
-    assert np.array_equal(res.z_lb, np.zeros((2, 2)))
 
 
 def test_weighted_bounds_box_certified_on_random_families():
@@ -251,8 +246,8 @@ def test_weighted_bounds_box_certified_on_random_families():
         assert res.feasible
         assert np.all(res.eps >= 0)
         assert res.alpha @ res.eps <= res.beta.min() + 1e-12
-        for p in column_corners(fam.joint_P, res.eps):
-            assert dense_rho(fam, p) < 1.0
+        for p in column_corners(fam, res.eps):
+            assert dense_rho(replace(fam, joint_P=p)) < 1.0
 
 
 def test_weighted_bounds_margin_tightens_budget():
@@ -277,7 +272,8 @@ def test_weighted_bounds_nilpotent_modes():
 def test_column_corners_move_eps_into_each_column():
     nominal = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]])
     eps = np.array([0.1, 0.05, 0.2])
-    corners = column_corners(nominal, eps)
+    fam = ModeFamily.from_matrices(np.zeros((3, 1, 1)), nominal)
+    corners = column_corners(fam, eps)
     assert corners.shape == (3, 3, 3)
     assert np.allclose(corners.sum(axis=2), 1.0, atol=1e-15)
     for s in range(3):
@@ -290,7 +286,7 @@ def test_column_corners_move_eps_into_each_column():
         atol=1e-15,
     )
     with pytest.raises(ValueError, match="one entry per mode"):
-        column_corners(nominal, [0.1])
+        column_corners(fam, [0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +297,28 @@ def test_column_corners_move_eps_into_each_column():
 def test_robust_sufficient_accepts_small_perturbation():
     fam = scalar_family()
     delta = [[0.01, -0.01], [0.01, -0.01]]
-    assert robust_sufficient(fam, NOMINAL, delta) is True
+    assert robust_sufficient(fam, delta) is True
     perturbed = np.asarray(NOMINAL) + delta
-    assert spectral_radius(mss_matrix(fam, transition=perturbed).matrix) < 1.0
+    assert spectral_radius(mss_matrix(replace(fam, joint_P=perturbed)).matrix) < 1.0
 
 
 def test_robust_sufficient_false_is_one_sided():
     fam = scalar_family()
     delta = [[0.35, -0.35], [0.03, -0.03]]
-    assert robust_sufficient(fam, NOMINAL, delta) is False
+    assert robust_sufficient(fam, delta) is False
     # the exact test may still pass out there
     perturbed = np.asarray(NOMINAL) + delta
-    assert spectral_radius(mss_matrix(fam, transition=perturbed).matrix) < 1.0
+    assert spectral_radius(mss_matrix(replace(fam, joint_P=perturbed)).matrix) < 1.0
 
 
 def test_robust_sufficient_validates_structure():
     fam = scalar_family()
     with pytest.raises(ValueError, match="delta: expected"):
-        robust_sufficient(fam, NOMINAL, np.zeros((3, 3)))
+        robust_sufficient(fam, np.zeros((3, 3)))
     with pytest.raises(ValueError, match="sum to zero"):
-        robust_sufficient(fam, NOMINAL, [[0.1, 0.0], [0.0, 0.0]])
+        robust_sufficient(fam, [[0.1, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="leaves"):
-        robust_sufficient(fam, NOMINAL, [[0.7, -0.7], [0.0, 0.0]])
+        robust_sufficient(fam, [[0.7, -0.7], [0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -333,35 +329,62 @@ def test_robust_sufficient_validates_structure():
 def test_grid_scan_nominal_point_only():
     fam = scalar_family()
     rho0 = spectral_radius(mss_matrix(fam).matrix)
-    assert grid_scan_max_rho(fam, NOMINAL, [0.0, 0.0]) == rho0
+    assert grid_scan_max_rho(fam, [0.0, 0.0]) == rho0
 
 
 def test_grid_scan_certified_box_peaks_at_one():
     """At the certified corner p = [[0, 1], [0.48, 0.52]] the test matrix is
     [[0, 0.75], [0.25, 0.8125]] whose dominant eigenvalue is exactly 1."""
     fam = scalar_family()
-    worst = grid_scan_max_rho(fam, NOMINAL, [0.4, 0.02], resolution=1e-3)
+    worst = grid_scan_max_rho(fam, [0.4, 0.02], resolution=1e-3)
     assert worst == pytest.approx(1.0, abs=1e-9)
     assert worst <= 1.0 + 1e-9
 
 
 def test_grid_scan_skips_inadmissible_chains():
-    fam = scalar_family()
     nominal = np.array([[1.0, 0.0], [0.5, 0.5]])
+    fam = replace(scalar_family(), joint_P=nominal)
     res = 0.05
-    worst = grid_scan_max_rho(fam, nominal, [0.2, 0.0], resolution=res)
+    worst = grid_scan_max_rho(fam, [0.2, 0.0], resolution=res)
     expected = 0.0
     for t1 in np.linspace(-0.2, 0.2, 9):
         p = nominal + np.array([[t1, -t1], [0.0, 0.0]])
         if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
             continue
-        expected = max(expected, spectral_radius(mss_matrix(fam, transition=p).matrix))
+        expected = max(expected, spectral_radius(mss_matrix(replace(fam, joint_P=p)).matrix))
     assert worst == pytest.approx(expected, rel=1e-12)
 
 
 def test_grid_scan_input_validation():
     fam3 = ModeFamily.from_matrices(np.zeros((3, 1, 1)), np.full((3, 3), 1.0 / 3.0))
     with pytest.raises(ValueError, match="2-mode"):
-        grid_scan_max_rho(fam3, np.full((3, 3), 1.0 / 3.0), [0.1, 0.1, 0.1])
+        grid_scan_max_rho(fam3, [0.1, 0.1, 0.1])
     with pytest.raises(ValueError, match="one entry per mode"):
-        grid_scan_max_rho(scalar_family(), NOMINAL, [0.1])
+        grid_scan_max_rho(scalar_family(), [0.1])
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1e-3, float("nan"), float("inf")])
+def test_grid_scan_rejects_bad_resolution(resolution):
+    # unchecked, 0 would divide by zero, NaN fail in int() and inf scan only
+    # the corner (-eps_0, -eps_1)
+    with pytest.raises(ValueError, match="resolution must be finite and positive"):
+        grid_scan_max_rho(scalar_family(), [0.4, 0.02], resolution=resolution)
+
+
+def test_grid_scan_matrix_is_the_test_matrix_of_each_chain(monkeypatch):
+    # the grid scales the column blocks of two prebuilt matrices; on a
+    # 2-mode family with d = 3 each sum must be, bit for bit, the test
+    # matrix that mss_matrix builds at that chain
+    rng = np.random.default_rng(21)
+    nominal = np.array([[0.3, 0.7], [0.6, 0.4]])
+    fam = ModeFamily.from_matrices(0.4 * rng.normal(size=(2, 3, 3)), nominal)
+    seen = []
+    monkeypatch.setattr(robust, "spectral_radius",
+                        lambda m: seen.append(m) or spectral_radius(m))
+    worst = grid_scan_max_rho(fam, [0.05, 0.1], resolution=0.025)
+    chains = [nominal + np.array([[t1, -t1], [t2, -t2]])
+              for t1 in np.linspace(-0.05, 0.05, 5) for t2 in np.linspace(-0.1, 0.1, 9)]
+    assert len(seen) == len(chains) == 45
+    for test, p in zip(seen, chains):
+        assert test.tobytes() == mss_matrix(replace(fam, joint_P=p)).matrix.tobytes()
+    assert worst == max(spectral_radius(test) for test in seen)

@@ -74,14 +74,15 @@ def test_mss_matrix_block_structure_matches_kron():
 
 
 def test_mss_matrix_transition_override():
+    # the test matrix reads the family's chain; replace swaps and checks it
     fam = scalar_family()
     q = np.array([[0.9, 0.1], [0.2, 0.8]])
-    test = mss_matrix(fam, transition=q)
+    test = mss_matrix(dataclasses.replace(fam, joint_P=q))
     assert np.array_equal(
         test.matrix, [[0.9 * 0.25, 0.2 * 1.5625], [0.1 * 0.25, 0.8 * 1.5625]]
     )
-    with pytest.raises(ValueError, match="transition"):
-        mss_matrix(fam, transition=np.eye(3))
+    with pytest.raises(ValueError, match="joint_P"):
+        dataclasses.replace(fam, joint_P=np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def test_second_moment_map_is_test_matrix_at_any_chain():
     q = rng.normal(size=(3, 2, 2))
     stacked = np.concatenate([x.reshape(-1, order="F") for x in q])
     mapped = second_moment_map(dataclasses.replace(fam, joint_P=p), q)
-    expected = mss_matrix(fam, transition=p).matrix @ stacked
+    expected = mss_matrix(dataclasses.replace(fam, joint_P=p)).matrix @ stacked
     assert np.allclose(
         np.concatenate([x.reshape(-1, order="F") for x in mapped]), expected,
         rtol=1e-12, atol=1e-14,
@@ -312,6 +313,26 @@ def test_dedup_tells_apart_mirror_images_with_equal_local_structure():
     assert dedup_agents(model) == [[1, 2]]
 
 
+def test_dedup_searches_relabelings_only_for_shared_summaries(monkeypatch):
+    # 300 agents with random blocks: no two share the blocks that relabeling
+    # keeps, so none can match another and no permutation search runs
+    from test_model import random_sparse_model
+
+    import mjlstab.stability as stability_module
+
+    calls = []
+    real = stability_module._canonical_signature
+    monkeypatch.setattr(stability_module, "_canonical_signature",
+                        lambda *args: calls.append(args) or real(*args))
+    classes = dedup_agents(random_sparse_model(1, n_agents=300, n=2, degree=5))
+    assert calls == []
+    assert classes == [[i] for i in range(1, 301)]
+    # the pendulum's two endpoints share a summary under different exact
+    # structures, so only their keys are searched
+    assert dedup_agents(build_pendulum_model(100)) == [[1, 100], list(range(2, 100))]
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # Norm-based sufficient test
 # ---------------------------------------------------------------------------
@@ -334,7 +355,7 @@ def test_block_norm_sufficient_false_says_nothing():
 def test_block_norm_sufficient_transition_override():
     fam = scalar_family(a1=0.9, a2=0.9, p=[[0.5, 0.5], [0.5, 0.5]])
     assert block_norm_sufficient(fam) is True
-    assert block_norm_sufficient(fam, transition=np.eye(2)) is True
+    assert block_norm_sufficient(dataclasses.replace(fam, joint_P=np.eye(2))) is True
 
 
 def test_block_norm_implies_spectral_pass():
