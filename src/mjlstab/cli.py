@@ -346,7 +346,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("robust", help="transition-matrix uncertainty bounds")
     add_common(p, family=True)
     p.add_argument("--margin", type=float, default=0.0,
-                   help="strictness margin subtracted from each beta")
+                   help="non-negative strictness margin subtracted from each beta")
     p.set_defaults(func=cmd_robust)
 
     p = sub.add_parser("simulate", help="Monte Carlo simulation to CSV")

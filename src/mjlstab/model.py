@@ -332,9 +332,10 @@ def _kronecker_radius(model: DncsModel) -> float | None:
     A W that is a uniform path in agent order (every coupling (i, i +- 1)
     stored, no other, all weights bitwise one w) has the eigenvalues
     2 w cos(k pi / (N + 1)), k = 1..N (Brouwer & Haemers, Spectra of
-    Graphs, 2012, 1.4.4), so a chain needs no N x N array. Any other W is
-    built dense for `eigvalsh`; it and the copy `eigvalsh` makes of it
-    count against `linalg.BYTE_CAP`.
+    Graphs, 2012, 1.4.4), so a chain needs no N x N array, and neither does
+    W = 0 (no coupling), whose one eigenvalue is 0. Any other W is built
+    dense for `eigvalsh`; it and the copy `eigvalsh` makes of it count
+    against `linalg.BYTE_CAP`.
     """
     keys = np.array(list(model.blocks)) - 1
     vals = np.stack(list(model.blocks.values()))
@@ -350,7 +351,9 @@ def _kronecker_radius(model: DncsModel) -> float | None:
     if not (np.abs(off - weights[:, None, None] * k) <= tol[:, None, None]).all():
         return None
     n_agents = model.n_agents
-    if (len(weights) == 2 * (n_agents - 1) > 0
+    if not len(weights):  # no coupling: the spectrum is spec(C)
+        lam = np.zeros(1)
+    elif (len(weights) == 2 * (n_agents - 1) > 0
             and (np.abs(off_keys[:, 0] - off_keys[:, 1]) == 1).all()
             and (weights == weights[0]).all()):
         lam = 2 * weights[0] * np.cos(np.pi * np.arange(1, n_agents + 1) / (n_agents + 1))
@@ -378,7 +381,8 @@ def nominal_stability(model: DncsModel) -> tuple[float, bool]:
     TAC 2004; Massioni & Verhaegen, IEEE TAC 2009). That holds for
     disconnected graphs and isolated agents too (lambda = 0 gives spec(C)).
     A uniform path W (a chain numbered in order, such as the pendulum)
-    has its lambda in closed form; any other symmetric W gives real lambda
+    has its lambda in closed form, and W = 0 (no coupling) has lambda = 0
+    alone; any other symmetric W gives real lambda
     from `eigvalsh` of the dense N x N matrix. C + lambda K is one n x n
     eigensolve each.
 

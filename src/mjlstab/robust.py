@@ -72,10 +72,14 @@ class BoundsInfeasibleError(RuntimeError):
 
 
 def _check_margin(margin: float) -> None:
-    """Raise ValueError for a NaN or infinite margin: every comparison with
-    NaN is False, so `min beta <= margin` would pass it through to NaN eps."""
+    """Raise ValueError for a margin that is NaN (every comparison with NaN
+    is False, so `min beta <= margin` would pass it through to NaN eps),
+    infinite, or negative (it widens each column's budget past beta_s, so
+    the eps certify unstable chains)."""
     if not np.isfinite(margin):
         raise ValueError(f"margin must be finite, got {margin!r}")
+    if margin < 0:
+        raise ValueError(f"margin must be non-negative, got {margin!r}")
 
 
 def solve_bound_lp(family: ModeFamily, margin: float = 0.0, *, alpha=None,
@@ -91,8 +95,8 @@ def solve_bound_lp(family: ModeFamily, margin: float = 0.0, *, alpha=None,
     passes its own.
 
     Requires beta_s > margin for every s (the nominal point must satisfy
-    the margin strictly); raises BoundsInfeasibleError otherwise, and
-    ValueError for a margin that is not finite.
+    the margin strictly); raises BoundsInfeasibleError otherwise. The
+    margin must be finite and non-negative; any other raises ValueError.
     """
     _check_margin(margin)
     p = family.joint_P
@@ -148,7 +152,8 @@ def compute_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     When some beta_s <= margin the nominal chain sits outside the
     norm-certifiable region; that is reported in-band as feasible=False with
     eps = 0 (the condition is only sufficient, so the exact spectral test may
-    still pass there). A margin that is not finite raises ValueError.
+    still pass there). The margin must be finite and non-negative; any
+    other raises ValueError.
     """
     _check_margin(margin)
     alpha = alphas(family)
@@ -173,8 +178,8 @@ def weighted_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     perturbation in the box has sum_r alpha_r |dp_rs| <= beta_s - margin in
     every column. When some beta_s <= margin (the nominal chain is
     unstable, or closer to the margin than this V can show) the result is
-    feasible=False with eps = 0. A margin that is not finite raises
-    ValueError.
+    feasible=False with eps = 0. The margin must be finite and
+    non-negative; any other raises ValueError.
     """
     _check_margin(margin)
     m, d = family.mode_count, family.state_dim

@@ -68,14 +68,11 @@ class SimConfig:
 
 @dataclass(eq=False)
 class TrajectoryRecord:
-    """One realized trajectory: states (steps+1, N*n) with row k holding
-    x(k), squared norms per step, and the delay of every link at every
-    update (row k holds the delays used for the step k -> k+1)."""
+    """One realized trajectory, what its CSV holds: states (steps+1, N*n)
+    with row k holding x(k), and the squared norm of each row."""
 
     states: np.ndarray = field(repr=False)
     sqnorm: np.ndarray = field(repr=False)
-    delays: np.ndarray = field(repr=False)
-    links: list
     n_agents: int
     n: int
 
@@ -116,9 +113,8 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
 
     States are (N, n, T) and delays (L, T). Each trial draws from its own
     generator in the order described above, so every trial gives the same
-    bits as when run alone. Returns the links, the squared norms
-    (T, steps+1) and, with keep (one trial), the states (steps+1, N, n) and
-    the delays (steps, L).
+    bits as when run alone. Returns the squared norms (T, steps+1) and,
+    with keep (one trial), the states (steps+1, N, n), else None.
     """
     rngs = [_trial_generator(config.seed, int(t)) for t in trials]
     n_trials, steps = len(rngs), config.steps
@@ -174,10 +170,7 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
     mask = np.empty((n_links, 1, n_trials), dtype=np.int64)
     flat = np.empty((n_trials, n_agents, n))  # x(k) per trial, row-major
     sqnorm = np.empty((n_trials, steps + 1))
-    states = delays_out = None
-    if keep:
-        states = np.empty((steps + 1, n_agents, n))
-        delays_out = np.empty((steps, n_links), dtype=int)
+    states = np.empty((steps + 1, n_agents, n)) if keep else None
 
     for k in range(steps + 1):
         flat[...] = x.transpose(2, 0, 1)
@@ -186,8 +179,6 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
             states[k] = x[..., 0]
         if k == steps:
             break
-        if keep:
-            delays_out[k] = delays[:, 0]
         _products(diag_mats, x, x_next, tmp)
         np.copyto(delayed, prods[head])
         for d in range(1, q):
@@ -205,7 +196,7 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
             rng.random(out=u[t])
         delays = _next_delay(u.T, cum_p, delays)
         x, x_next = x_next, x
-    return links, sqnorm, states, delays_out
+    return sqnorm, states
 
 
 def simulate_trajectory(
@@ -213,22 +204,20 @@ def simulate_trajectory(
 ) -> TrajectoryRecord:
     """Simulate one trajectory, deterministic given (config.seed, trial).
 
-    Raises SizeLimitError, before anything is allocated, when the kept
-    record, (steps+1)·N·n states and steps·L delays, would exceed
+    Keeps the states and squared norms only; the link delays drawn at each
+    step are used and dropped. Raises SizeLimitError, before anything is
+    allocated, when the (steps+1)·N·n kept states would exceed
     `linalg.BYTE_CAP`.
     """
-    n_links = len(model.blocks) - model.n_agents  # one per off-diagonal block
     check_bytes(
-        8 * ((config.steps + 1) * model.n_agents * model.n + config.steps * n_links),
+        8 * (config.steps + 1) * model.n_agents * model.n,
         f"a {config.steps}-step trajectory record",
         "; use fewer --steps",
     )
-    links, sqnorm, states, delays = _simulate_block(model, config, [trial], keep=True)
+    sqnorm, states = _simulate_block(model, config, [trial], keep=True)
     return TrajectoryRecord(
         states=states.reshape(config.steps + 1, model.n_agents * model.n),
         sqnorm=sqnorm[0],
-        delays=delays,
-        links=links,
         n_agents=model.n_agents,
         n=model.n,
     )
@@ -262,7 +251,7 @@ def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
     )
     blocks = np.array_split(np.arange(config.trials), workers)
     sqnorms = parallel_map(
-        lambda block: _simulate_block(model, config, block)[1], blocks
+        lambda block: _simulate_block(model, config, block)[0], blocks
     )
     return np.concatenate(sqnorms).mean(axis=0)
 

@@ -243,6 +243,16 @@ def test_robust_rejects_non_finite_margin(capsys, tmp_path, source, margin):
     assert doc == {"error": f"margin must be finite, got {float(margin)!r}"}
 
 
+@pytest.mark.parametrize("source", ["family", "pendulum"])
+def test_robust_rejects_negative_margin(capsys, tmp_path, source):
+    # on the family, --margin=-0.5 used to exit 0 with "feasible": true for
+    # a box that holds unstable chains
+    where = family_file(tmp_path) if source == "family" else "2"
+    code, doc = run(capsys, "robust", f"--{source}", where, "--margin=-0.5")
+    assert code == 1
+    assert doc == {"error": "margin must be non-negative, got -0.5"}
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

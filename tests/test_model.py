@@ -732,14 +732,19 @@ CHAINS = {
     "pendulum": lambda: build_pendulum_model(300),
     "path_uniform_n3": KRONECKER["path_uniform_n3"],
     "chain_3": SMALL_HOMOGENEOUS["chain_3"],
+    # no coupling at all: W = 0, whose one eigenvalue is 0
+    "pendulum_uncoupled": lambda: build_pendulum_model(
+        300, params=PendulumParams(coupling=0.0)),
+    "single": SMALL_HOMOGENEOUS["single"],
+    "uncoupled": SMALL_HOMOGENEOUS["uncoupled"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_uniform_chain_needs_no_weight_matrix(name, monkeypatch, eigvalsh_calls,
                                               general_path_calls):
-    # the path's eigenvalues are closed form, so no N x N array is built:
-    # a cap below one such array changes nothing
+    # the eigenvalues of a uniform path, or of no coupling, are closed form,
+    # so no N x N array is built: a cap below one such array changes nothing
     from mjlstab import linalg
 
     model = CHAINS[name]()
@@ -755,8 +760,6 @@ NON_PATHS = {
     # the uniform chain with its agents numbered out of chain order
     "path_shuffled": lambda: path_model(
         2, [0.37] * 299, order=np.random.default_rng(6).permutation(300) + 1),
-    "single": SMALL_HOMOGENEOUS["single"],
-    "uncoupled": SMALL_HOMOGENEOUS["uncoupled"],
 }
 
 

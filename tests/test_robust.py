@@ -146,6 +146,16 @@ def test_non_finite_margin_is_rejected(bound, margin):
         bound(scalar_family(), margin=margin)
 
 
+@pytest.mark.parametrize("margin", [-0.5, -1e-12])
+@pytest.mark.parametrize("bound", [compute_bounds, weighted_bounds, solve_bound_lp])
+def test_negative_margin_is_rejected(bound, margin):
+    # a negative margin widens every column's budget past beta_s: at -0.5
+    # compute_bounds gave eps [0.4, 0.3] and weighted_bounds [0.4, 0.259],
+    # boxes whose grid scans reach rho 1.31 and 1.26
+    with pytest.raises(ValueError, match=rf"margin must be non-negative, got {margin!r}"):
+        bound(scalar_family(), margin=margin)
+
+
 def test_compute_bounds_evaluates_alphas_once(monkeypatch):
     rng = np.random.default_rng(7)
     mats = rng.normal(size=(5, 2, 2))

@@ -28,14 +28,13 @@ from mjlstab.sim import (
 from mjlstab.stability import mss_test_full
 
 
-def two_agent(a=0.9, c=0.3, chain=None, both=True):
+def two_agent(a=0.9, c=0.3, chain=None):
     blocks = {
         (1, 1): np.array([[a]]),
         (2, 2): np.array([[a]]),
         (1, 2): np.array([[c]]),
+        (2, 1): np.array([[c]]),
     }
-    if both:
-        blocks[(2, 1)] = np.array([[c]])
     if chain is None:
         chain = DelayChain(P=[[0.5, 0.5], [0.5, 0.5]], pi0=[0.5, 0.5])
     return DncsModel(n_agents=2, n=1, tau_d=1, blocks=blocks, chain=chain)
@@ -326,14 +325,12 @@ def test_frozen_chain_reduces_to_global_matrix_powers():
     for k in range(13):
         assert np.allclose(rec.states[k], x, atol=1e-12)
         x = g @ x
-    assert np.array_equal(rec.delays, np.zeros((12, 2), dtype=int))
 
 
 def test_no_links_gives_decoupled_powers():
     model = diag_only(a=0.8)
     x0 = np.array([1.0, 2.0, -3.0])
     rec = simulate_trajectory(model, SimConfig(steps=10, init=x0))
-    assert rec.delays.shape == (10, 0)
     for k in range(11):
         assert np.allclose(rec.states[k], 0.8**k * x0, rtol=1e-12)
     assert rec.sqnorm[0] == pytest.approx(14.0, abs=1e-12)
@@ -356,16 +353,29 @@ def test_first_step_ignores_delay_draw():
     a = simulate_trajectory(model, SimConfig(steps=20, init=[1.0, -0.7], seed=1))
     b = simulate_trajectory(model, SimConfig(steps=20, init=[1.0, -0.7], seed=2))
     assert np.array_equal(a.states[1], b.states[1])
-    assert not np.array_equal(a.delays, b.delays)
     assert not np.array_equal(a.states, b.states)
 
 
+def delay_echo():
+    """Agent 1 (n = 2, zero diagonal block) receives agent 2 through I on
+    one link; agent 2 rotates by one radian. So x_1(k+1) is x_2(k - d_k)
+    bit for bit (1 x + 0 y summed from +0.0), and no two successive x_2
+    are equal: each step's delay can be read back from the states."""
+    rotation = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+    blocks = {(1, 1): np.zeros((2, 2)), (2, 2): rotation, (1, 2): np.eye(2)}
+    return DncsModel(n_agents=2, n=2, tau_d=1, blocks=blocks, chain=default_chain())
+
+
 def test_delay_frequencies_approach_stationary_law():
-    chain = default_chain()  # stationary law (3/8, 5/8)
-    model = two_agent(a=0.5, c=0.2, chain=chain, both=False)
-    rec = simulate_trajectory(model, SimConfig(steps=4000, init=[1.0, 1.0], seed=4))
-    freq1 = rec.delays.mean()
-    assert abs(freq1 - 5.0 / 8.0) < 0.03
+    # default_chain() has the stationary law (3/8, 5/8)
+    config = SimConfig(steps=4000, init=[0.0, 0.0, 1.0, 0.0], seed=4)
+    x = simulate_trajectory(delay_echo(), config).states
+    received, sent = x[2:, :2], x[:-1, 2:]  # x_1(k+1), k >= 1; x_2(k), k >= 0
+    got0 = (received == sent[1:]).all(axis=1)
+    got1 = (received == sent[:-1]).all(axis=1)
+    # from k = 1 on, x_2(k) != x_2(k-1), so each step matches exactly one delay
+    assert np.array_equal(got0, ~got1)
+    assert abs(got1.mean() - 5.0 / 8.0) < 0.03
 
 
 def test_markov_dependent_growth_rate_matches_spectral_test():
@@ -409,9 +419,9 @@ def fail_generator(seed, trial):
 
 
 def test_trajectory_size_check_refuses_before_allocating(monkeypatch):
-    # kept record: 4 rows of N*n = 6 states and 3 rows of L = 4 delays
+    # kept record: 4 rows of N*n = 6 states
     model, config = build_pendulum_model(3), SimConfig(steps=3)
-    need = 8 * (4 * 6 + 3 * 4)
+    need = 8 * 4 * 6
     monkeypatch.setattr(linalg, "BYTE_CAP", need)
     assert simulate_trajectory(model, config).states.shape == (4, 6)
     monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
