@@ -3,11 +3,12 @@
 `estimate_ms` gives it one block of trials per core. The parent forks one
 child for each block but the first, runs the first block itself, and reads
 each child's pickled result back from a pipe. In process on 2 cores, two
-blocks of 50 trials on 200 pendulums over 400 steps took 0.248 s one after
-the other, 0.217 s on two threads (the step loop's short numpy calls hold
-the GIL often enough that the threads wait on each other) and 0.136 s in
-forked processes. A child shares the parent's arrays copy-on-write, so
-nothing but the result is pickled, and the function may be a closure.
+blocks of 50 trials on 200 pendulums over 400 steps took 0.47 s one after
+the other, 0.38 s on two threads (the step loop's short numpy calls hold
+the GIL often enough that the threads wait on each other) and 0.25 s in
+forked processes (medians of 8 calls, numpy 2.4 with OpenBLAS). A child
+shares the parent's arrays copy-on-write, so nothing but the result is
+pickled, and the function may be a closure.
 OpenBLAS stops its thread pool before a fork (the parent goes from 2 OS
 threads to 1, and a child starts with 1) and starts it again at its next
 BLAS call; the step loop makes none.

@@ -33,7 +33,7 @@ from .model import (
     load_model,
     nominal_stability,
 )
-from .robust import compute_bounds
+from .robust import check_margin, compute_bounds
 from .sim import (
     SimConfig,
     estimate_ms,
@@ -238,6 +238,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_robust(args) -> int:
     started = time.monotonic()
+    check_margin(args.margin)  # before any model work
     model, family = _model_source(args, allow_family=True)
     entries = []
     if family is not None:

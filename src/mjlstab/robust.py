@@ -71,7 +71,7 @@ class BoundsInfeasibleError(RuntimeError):
     """The nominal chain already fails the norm margin (some beta <= 0)."""
 
 
-def _check_margin(margin: float) -> None:
+def check_margin(margin: float) -> None:
     """Raise ValueError for a margin that is NaN (every comparison with NaN
     is False, so `min beta <= margin` would pass it through to NaN eps),
     infinite, or negative (it widens each column's budget past beta_s, so
@@ -98,7 +98,7 @@ def solve_bound_lp(family: ModeFamily, margin: float = 0.0, *, alpha=None,
     the margin strictly); raises BoundsInfeasibleError otherwise. The
     margin must be finite and non-negative; any other raises ValueError.
     """
-    _check_margin(margin)
+    check_margin(margin)
     p = family.joint_P
     if alpha is None:
         alpha = alphas(family)
@@ -155,7 +155,7 @@ def compute_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     still pass there). The margin must be finite and non-negative; any
     other raises ValueError.
     """
-    _check_margin(margin)
+    check_margin(margin)
     alpha = alphas(family)
     return _two_step(family, alpha, betas(family, alpha), margin)
 
@@ -181,7 +181,7 @@ def weighted_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     feasible=False with eps = 0. The margin must be finite and
     non-negative; any other raises ValueError.
     """
-    _check_margin(margin)
+    check_margin(margin)
     m, d = family.mode_count, family.state_dim
     rho = scope_radius(family)
     # the floor keeps V well conditioned when L is nilpotent (rho = 0)

@@ -12,13 +12,13 @@ one block of uniforms per step), so every trial is reproducible on its own
 and independent of how trials are grouped into blocks and processes.
 
 One step loop serves both entry points: it advances a block of trials
-together, with trials on the last array axis, so each numpy call covers the
-whole block. `simulate_trajectory` runs a block of one trial and keeps its
-states; `estimate_ms` runs one block per core and keeps only squared norms.
-The loop's per-step work has no data-dependent branch: the delayed product
-of each link is picked from the ring of the last q products by bit masks.
-Both refuse, before they allocate, a run whose arrays would exceed
-`linalg.BYTE_CAP`.
+together, trials first, so each numpy call covers the whole block, and it
+writes only into arrays made before it. `simulate_trajectory` runs a block
+of one trial and keeps its states; `estimate_ms` runs one block per core and
+keeps only squared norms. The loop's per-step work has no data-dependent
+branch: the delayed product of each link is picked from the ring of the
+last q products by bit masks. Both refuse, before they allocate, a run
+whose arrays would exceed `linalg.BYTE_CAP`.
 
 The CSV helpers format their rows in chunks of about 256 KB of text and pass
 each chunk to a `write` callback, so an export holds the trajectory array
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .linalg import check_bytes
-from .model import DncsModel
+from .model import DncsModel, senders
 from .switched import enumerate_links
 
 _MASK64 = (1 << 64) - 1
@@ -42,8 +42,11 @@ _MASK64 = (1 << 64) - 1
 # Characters of CSV text gathered before they are passed to `write`.
 CSV_CHUNK_CHARS = 1 << 18
 
-# Bytes one trial's Philox generator holds (measured with numpy 2.4).
+# Bytes one trial's Philox generator holds, and a block's Python objects in
+# all and per slot (measured with numpy 2.4: at most 12 KB and 150 B).
 _GENERATOR_BYTES = 640
+_BLOCK_OBJECT_BYTES = 16384
+_SLOT_OBJECT_BYTES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,119 +85,154 @@ def _trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _next_delay(u: np.ndarray, cum: np.ndarray, prev=None) -> np.ndarray:
+def _next_delay(u, cum, prev=None, out=None, scratch=None) -> np.ndarray:
     """Delays drawn at uniforms u by inverting the cumulative distribution
     `cum` (q,), or with `prev` the rows cum[prev] of a cumulative transition
     matrix (q, q).
 
     Only the first q-1 thresholds count: the last one may sit just below 1
     (rounding of the cumsum, or rows summing to 1 - 1e-12), and a draw above
-    it must still give the last delay, q-1, not q.
+    it must still give the last delay, q-1, not q. Given `out` (not `prev`),
+    `scratch` (an intp, a float and a bool array of u's shape) and a `cum`
+    with contiguous columns, the draw allocates nothing.
     """
-    delay = np.zeros(u.shape, dtype=int)
+    count, thr, hit = scratch or (
+        np.empty(u.shape, dtype=np.intp), np.empty(u.shape), np.empty(u.shape, dtype=bool)
+    )
+    out = np.empty(u.shape, dtype=np.intp) if out is None else out
+    out.fill(0)
     for c in range(cum.shape[-1] - 1):
-        delay += u >= (cum[c] if prev is None else cum[:, c].take(prev))
-    return delay
+        col = cum[c] if prev is None else np.take(cum[:, c], prev, out=thr, mode="clip")
+        np.copyto(count, np.greater_equal(u, col, out=hit))
+        out += count
+    return out
 
 
-def _products(
-    mats: np.ndarray, xs: np.ndarray, out: np.ndarray, tmp: np.ndarray
-) -> None:
-    """out[a, :, t] = mats[a] @ xs[a, :, t], summed over j in index order from
-    +0.0 (the order of a plain matrix-vector loop); tmp is scratch."""
-    out.fill(0.0)
-    for j in range(mats.shape[-1]):
-        np.multiply(mats[:, :, j, None], xs[:, None, j, :], out=tmp)
+def _products(coef: np.ndarray, xs: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out[t, i, r] = sum over j of coef[j, i, r] * xs[t, j, r], in index
+    order from the first term (a plain matrix-vector loop, less its +0.0
+    start); tmp is scratch."""
+    np.multiply(coef[0], xs[:, None, 0], out=out)
+    for j in range(1, len(coef)):
+        np.multiply(coef[j], xs[:, None, j], out=tmp)
         out += tmp
 
 
 def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
-    """Advance a block of trials through one step loop, trials on the last axis.
+    """Advance a block of trials through one step loop, trials first.
 
-    States are (N, n, T) and delays (L, T). Each trial draws from its own
+    States are (T, n, N), link products (T, n, L) and delays (T, L), and
+    each matrix entry is an (n, N) or (n, L) row broadcast over the trials.
+    Links are in slot-major order: slot s holds each receiver's s-th
+    incoming link, so a slot's receivers are unique and, where they form a
+    contiguous range, its adds are slices. The loop writes only into arrays
+    made before it (`estimate_ms` counts them). Each trial draws from its own
     generator in the order described above, so every trial gives the same
-    bits as when run alone. Returns the squared norms (T, steps+1) and,
-    with keep (one trial), the states (steps+1, N, n), else None.
+    bits as when run alone. Returns the squared norms (T, steps+1) and, with
+    keep (one trial), the states (steps+1, N, n), else None.
     """
     rngs = [_trial_generator(config.seed, int(t)) for t in trials]
     n_trials, steps = len(rngs), config.steps
     n_agents, n, q = model.n_agents, model.n, model.q
-    links = enumerate_links(model)
-    n_links = len(links)
 
+    x = np.empty((n_trials, n, n_agents))
     if isinstance(config.init, str):
         if config.init != "uniform":
             raise ValueError(f"unknown init rule {config.init!r}")
-        x = np.stack(
-            [rng.uniform(-1.0, 1.0, size=(n_agents, n)) for rng in rngs], axis=-1
-        )
+        for t, rng in enumerate(rngs):
+            x[t] = rng.uniform(-1.0, 1.0, size=(n_agents, n)).T
     else:
-        x0 = np.asarray(config.init, dtype=float).reshape(n_agents, n)
-        x = np.repeat(x0[:, :, None], n_trials, axis=2)
+        x[:] = np.asarray(config.init, dtype=float).reshape(n_agents, n).T
 
-    diag_mats = np.stack([model.blocks[(i, i)] for i in range(1, n_agents + 1)])
-    link_mats = (
-        np.stack([model.blocks[link] for link in links])
-        if n_links
-        else np.zeros((0, n, n))
-    )
-    receivers = np.array([i - 1 for (i, _) in links], dtype=int)
-    senders = np.array([j - 1 for (_, j) in links], dtype=int)
-    # links come sorted by receiver; slot s holds each receiver's s-th
-    # incoming link, so receivers are unique within a slot and each receiver
-    # adds its links in link order
-    rank = np.arange(n_links) - np.searchsorted(receivers, receivers)
-    slots = [
-        (receivers[rank == s], np.flatnonzero(rank == s))
-        for s in range(rank.max(initial=-1) + 1)
-    ]
+    links = enumerate_links(model)  # sorted by receiver
+    n_links = len(links)
+    pairs = np.array(links, dtype=np.intp).reshape(n_links, 2) - 1
+    rank = np.arange(n_links) - np.searchsorted(pairs[:, 0], pairs[:, 0])  # slot
+    order = np.argsort(rank, kind="stable")
+    bounds = np.searchsorted(rank[order], np.arange(rank.max(initial=-1) + 2)).tolist()
+    receivers, sources = pairs[order].T.copy()
 
-    u = np.empty((n_trials, n_links))
-    for t, rng in enumerate(rngs):
-        rng.random(out=u[t])
-    delays = _next_delay(u.T, np.cumsum(model.chain.pi0))
-    cum_p = np.cumsum(model.chain.P, axis=1)
+    def coef(mats):  # coef[j, i, r] is entry (i, j) of matrix r
+        return np.array(mats, dtype=float).reshape(-1, n, n).transpose(2, 1, 0).copy()
 
-    x_next, tmp = np.empty_like(x), np.empty_like(x)
+    diag_coef = coef([model.blocks[(i, i)] for i in range(1, n_agents + 1)])
+    link_coef = coef([model.blocks[links[l]] for l in order])
+    del links, pairs, rank  # setup only: freed before the loop's arrays are made
+
+    u, u_slot = np.empty((2, n_trials, n_links))
+    delays, drawn = np.empty((2, n_trials, n_links), dtype=np.intp)
+    hit = np.empty(u.shape, dtype=bool)
+    scratch = (np.empty_like(delays), np.empty_like(u), hit)
+
+    def draw(cum, prev, out):
+        for t, rng in enumerate(rngs):
+            rng.random(out=u[t])
+        np.take(u, order, axis=1, out=u_slot, mode="clip")
+        _next_delay(u_slot, cum, prev, out, scratch)
+
+    draw(np.cumsum(model.chain.pi0), None, delays)
+    cum_p = np.asfortranarray(np.cumsum(model.chain.P, axis=1))
+
+    x_next, tmp, sq = np.empty_like(x), np.empty_like(x), np.empty((n_trials, n_agents, n))
     # ring of the last q link products M_l x(k)[sender_l]; x(k) for k < 0 is x(0)
-    prods = np.empty((q, n_links, n, n_trials))
-    delayed, link_tmp = np.empty_like(prods[0]), np.empty_like(prods[0])
-    _products(link_mats, x[senders], delayed, link_tmp)
+    prods = np.empty((q, n_trials, n, n_links))
+    delayed, link_tmp, xs = np.empty((3, n_trials, n, n_links))
+    np.take(x, sources, axis=2, out=xs, mode="clip")
+    _products(link_coef, xs, delayed, link_tmp)
     prods[:] = delayed
-    head = 0
+    # (receivers, links, scratch) of each slot; receivers that are not a
+    # contiguous range are gathered into the front of xs (free until the
+    # sender gather), added to and scattered back
+    slots = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        dst = receivers[lo:hi]
+        if dst[-1] - dst[0] == hi - lo - 1:
+            slots.append((slice(dst[0], dst[-1] + 1), slice(lo, hi), None))
+        else:
+            part = xs.reshape(-1)[: n_trials * n * (hi - lo)].reshape(n_trials, n, -1)
+            slots.append((dst, slice(lo, hi), part))
     # the delayed products are picked by XOR, AND, XOR on their bit patterns:
     # no branch on a fresh random mask, and exact for every float (signed
     # zeros and NaN payloads included)
     prod_bits, delayed_bits = prods.view(np.int64), delayed.view(np.int64)
     pick_bits = link_tmp.view(np.int64)
-    mask = np.empty((n_links, 1, n_trials), dtype=np.int64)
-    flat = np.empty((n_trials, n_agents, n))  # x(k) per trial, row-major
+    mask = np.empty((n_trials, 1, n_links), dtype=np.int64)
     sqnorm = np.empty((n_trials, steps + 1))
     states = np.empty((steps + 1, n_agents, n)) if keep else None
 
     for k in range(steps + 1):
-        flat[...] = x.transpose(2, 0, 1)
-        sqnorm[:, k] = (flat * flat).reshape(n_trials, -1).sum(axis=1)
+        # squares in row-major (agent, coordinate) order, one coordinate at a
+        # time, so each trial's sum adds them as a flat state would
+        for c in range(n):
+            np.copyto(sq[:, :, c], x[:, c])
+        np.multiply(sq, sq, out=sq)
+        sq.reshape(n_trials, -1).sum(axis=1, out=sqnorm[:, k])
         if keep:
-            states[k] = x[..., 0]
+            states[k] = x[0].T
         if k == steps:
             break
-        _products(diag_mats, x, x_next, tmp)
-        np.copyto(delayed, prods[head])
+        _products(diag_coef, x, x_next, tmp)
+        x_next += 0.0  # as if summed from +0.0: a state is never -0.0
+        src = prods[head := k % q]
         for d in range(1, q):
             # mask is all ones where a link's delay is d, zeros elsewhere
-            np.equal(delays, d, out=mask[:, 0, :])
+            np.copyto(mask[:, 0], np.equal(delays, d, out=hit))
             np.negative(mask, out=mask)
-            np.bitwise_xor(delayed_bits, prod_bits[(head - d) % q], out=pick_bits)
+            np.bitwise_xor(src.view(np.int64), prod_bits[(head - d) % q], out=pick_bits)
             pick_bits &= mask
-            delayed_bits ^= pick_bits
-        for slot_receivers, slot_links in slots:
-            x_next[slot_receivers] += delayed[slot_links]
-        head = (head + 1) % q
-        _products(link_mats, x_next[senders], prods[head], link_tmp)
-        for t, rng in enumerate(rngs):
-            rng.random(out=u[t])
-        delays = _next_delay(u.T, cum_p, delays)
+            np.bitwise_xor(src.view(np.int64), pick_bits, out=delayed_bits)
+            src = delayed
+        for dst, links_of, part in slots:
+            if part is None:
+                x_next[:, :, dst] += src[:, :, links_of]
+            else:
+                np.take(x_next, dst, axis=2, out=part, mode="clip")
+                part += src[:, :, links_of]
+                x_next[:, :, dst] = part
+        np.take(x_next, sources, axis=2, out=xs, mode="clip")
+        _products(link_coef, xs, prods[(k + 1) % q], link_tmp)
+        draw(cum_p, delays, drawn)
+        delays, drawn = drawn, delays
         x, x_next = x_next, x
     return sqnorm, states
 
@@ -236,16 +274,28 @@ def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
     Raises SizeLimitError, before anything is allocated, when what it holds
     would exceed `linalg.BYTE_CAP`: the trial index and every trial's
     squared norms twice (as the blocks return them, then stacked), plus the
-    largest block's step loop, where each trial holds four state arrays
-    (N·n), the product ring and its two scratch arrays ((q+2)·L·n), a
-    uniform, a delay and a mask per link, and a generator.
+    largest block. Each of its trials holds a generator, four state arrays
+    (N·n: the state, the next one, the diagonal scratch and the squares),
+    the product ring, the delayed products, their scratch and the gathered
+    sender states ((q+3)·L·n), and eight words per link (two uniforms, a
+    threshold, two delays, a count, a mask and a comparison). The block
+    holds the matrix entries twice over (n²·(N+L), stacked, then reordered),
+    three link indices, numpy's iteration buffers for one call (three of at
+    most `np.getbufsize()` elements) and its Python objects, with one slot
+    per incoming link of the busiest receiver.
     """
     workers = min(os.cpu_count() or 1, config.trials)
-    n_links = len(model.blocks) - model.n_agents
-    floats = 4 * model.n_agents * model.n + (model.q + 2) * n_links * model.n + 3 * n_links
+    block, n_agents, n, q = -(-config.trials // workers), model.n_agents, model.n, model.q
+    n_links = len(model.blocks) - n_agents
+    n_slots = max(len(senders(model, i)) for i in range(1, n_agents + 1))
+    words = (
+        config.trials * (2 * config.steps + 3)
+        + block * (4 * n_agents * n + (q + 3) * n_links * n + 8 * n_links)
+        + 2 * n * n * (n_agents + n_links) + 3 * n_links
+        + 3 * min(np.getbufsize(), block * n * max(n_agents, n_links))
+    )
     check_bytes(
-        8 * config.trials * (2 * config.steps + 3)
-        + -(-config.trials // workers) * (8 * floats + _GENERATOR_BYTES),
+        8 * words + block * _GENERATOR_BYTES + _BLOCK_OBJECT_BYTES + n_slots * _SLOT_OBJECT_BYTES,
         f"{config.trials} trials of {config.steps} steps",
         "; use fewer --trials",
     )

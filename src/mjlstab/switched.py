@@ -44,7 +44,7 @@ def enumerate_links(model: DncsModel, scope: int | None = None) -> list[tuple[in
     agent i lists only links internal to its neighborhood.
     """
     if scope is None:
-        return sorted((i, j) for (i, j) in model.blocks if i != j)
+        return sorted(key for key in model.blocks if key[0] != key[1])
     nb = neighborhood(model, scope)
     inside = set(nb)
     return [(i, j) for i in nb for j in senders(model, i) if j in inside]

@@ -16,7 +16,7 @@ from mjlstab import cli, linalg, sim
 from mjlstab.cli import main
 from mjlstab.model import (DelayChain, DncsModel, build_global_matrix, build_pendulum_model,
                            dump_model)
-from test_sim import pendulum_tau2
+from test_sim import pendulum_tau2, star
 
 SCALAR_FAMILY = {
     "matrices": [[[0.5]], [[1.25]]],
@@ -253,6 +253,24 @@ def test_robust_rejects_negative_margin(capsys, tmp_path, source):
     assert doc == {"error": "margin must be non-negative, got -0.5"}
 
 
+@pytest.mark.parametrize("margin, error", [
+    ("-0.5", "margin must be non-negative, got -0.5"),
+    ("nan", "margin must be finite, got nan"),
+    ("inf", "margin must be finite, got inf"),
+])
+def test_robust_refuses_a_bad_margin_before_any_model_work(capsys, monkeypatch,
+                                                           margin, error):
+    # robust --pendulum 3000 --margin=-0.5 used to group the agents and build
+    # a mode family (0.4 s, 40 MB) before the margin was checked
+    def no_model_work(model):
+        raise AssertionError("dedup_agents ran before the margin check")
+
+    monkeypatch.setattr(cli, "dedup_agents", no_model_work)
+    code, doc = run(capsys, "robust", "--pendulum", "3000", f"--margin={margin}")
+    assert code == 1
+    assert doc == {"error": error}
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -399,6 +417,7 @@ def overflow_ring(n_agents=4, a=1e30, c=1e30):
 # sha256 of the CSVs of `simulate --model <model> --steps S --trials T --seed 3`.
 # The tau_d = 2 pendulum has q = 3, so the delayed-product select picks from
 # more than one older product; the overflow ring's CSVs hold inf, -inf and nan.
+# The star's second slot has receivers 1 and 5, not a contiguous range.
 GOLDEN_MODEL_CSV_SHA256 = {
     "tau2-5-trials": (pendulum_tau2, 60, 5,
                       "242e05105c2b321096b4d9ed55421fc9d738aeec3cc83a67dc9d41a28342db41"),
@@ -406,6 +425,10 @@ GOLDEN_MODEL_CSV_SHA256 = {
                          "af16ead32c55b114693ffd086d6d4ebebc69fb6ef18e67e5f198228de5dfd296"),
     "overflow-4-trials": (overflow_ring, 30, 4,
                           "607dcc8b0f34d2c3090bbabc900de8dd1c8291a099e76721a8f7731b8c84ec1e"),
+    "star-1-trial": (star, 40, 1,
+                     "29909e04a9eb3b71bdd8f5f9b71cc789d981f6bc8624d2f7d091cdc47b4b1a90"),
+    "star-5-trials": (star, 40, 5,
+                      "634db538a2115c9c63675cc9880198efa493730963e123f8063db0a27ebd4526"),
 }
 
 

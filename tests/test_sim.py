@@ -139,10 +139,28 @@ def ladder():
     return DncsModel(n_agents=8, n=1, tau_d=1, blocks=blocks, chain=chain)
 
 
+def star():
+    """Agent 1 receives from spokes 2-8 and sends back to each; agent 9 only
+    sends, to agent 5. Receivers 1 and 5 take second incoming links, so that
+    slot's receivers are not a contiguous range."""
+    diag = 0.6 * np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+    shear = np.array([[0.5, 1.0], [-0.25, 0.75]])
+    blocks = {(i, i): diag for i in range(1, 10)}
+    for i in range(2, 9):
+        blocks[(1, i)] = 0.02 * i * shear
+        blocks[(i, 1)] = 0.03 * (1 + i % 3) * shear.T
+    blocks[(5, 9)] = 0.05 * shear
+    chain = DelayChain(
+        P=[[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]], pi0=[0.5, 0.3, 0.2]
+    )
+    return DncsModel(n_agents=9, n=2, tau_d=2, blocks=blocks, chain=chain)
+
+
 BATCH_CASES = {
     "tau2-pendulum": (pendulum_tau2, "uniform"),
     "grid": (grid, "uniform"),
     "ladder": (ladder, "uniform"),
+    "star": (star, "uniform"),
     "no-links": (diag_only, "uniform"),
     "explicit-init": (pendulum_tau2, np.linspace(-1.0, 1.0, 12)),
 }
@@ -203,6 +221,34 @@ def test_estimate_ms_memory_stays_per_block(monkeypatch, cores):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("case, trials", [
+    ("pendulum-200", 1), ("pendulum-200", 50), ("tau2", 1), ("tau2", 7),
+    ("grid", 1), ("grid", 7),
+])
+def test_estimate_ms_holds_no_more_than_its_size_check(monkeypatch, case, trials):
+    """On one core the one block runs in this process: its traced peak,
+    with the squared norms and their mean, stays within the bytes that the
+    size check counted."""
+    model = {"pendulum-200": lambda: build_pendulum_model(200),
+             "tau2": pendulum_tau2, "grid": grid}[case]()
+    cfg = SimConfig(steps=50, trials=trials, seed=2)
+    counted = []
+
+    def recording_check(nbytes, *args):
+        counted.append(nbytes)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(sim, "check_bytes", recording_check)
+    estimate_ms(model, cfg)  # first call: one-time numpy and module setup
+    tracemalloc.start()
+    try:
+        estimate_ms(model, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +479,15 @@ def test_trajectory_size_check_refuses_before_allocating(monkeypatch):
 def test_estimate_size_check_refuses_before_allocating(monkeypatch):
     model, config = build_pendulum_model(3), SimConfig(steps=3, trials=5)
     block = -(-5 // min(os.cpu_count() or 1, 5))
-    # N*n = 6, L = 4, q = 2: four state arrays, the ring and its two
-    # scratch arrays, three per-link arrays and a generator per trial of a
+    # N*n = 6, L = 4, q = 2: four state arrays, the ring and its three
+    # scratch arrays, eight per-link words and a generator per trial of a
     # block; the index and the squared norms (twice) for every trial
-    per_trial = 8 * (4 * 6 + 4 * 4 * 2 + 3 * 4) + sim._GENERATOR_BYTES
-    need = 8 * 5 + 16 * 5 * 4 + block * per_trial
+    per_trial = 8 * (4 * 6 + 5 * 4 * 2 + 8 * 4) + sim._GENERATOR_BYTES
+    need = 8 * 5 + 16 * 5 * 4 + block * per_trial + sim._BLOCK_OBJECT_BYTES
+    # and per block: the matrices twice, three link indices, iteration
+    # buffers for three operands of a block's largest array, one slot per
+    # incoming link of the busiest receiver
+    need += 8 * (2 * 4 * 7 + 3 * 4 + 3 * block * 2 * 4) + 2 * sim._SLOT_OBJECT_BYTES
     monkeypatch.setattr(linalg, "BYTE_CAP", need)
     assert estimate_ms(model, config).shape == (4,)
     monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
