@@ -30,7 +30,6 @@ from .robust import (
     column_corners,
     compute_bounds,
     grid_scan_max_rho,
-    robust_sufficient,
     solve_bound_lp,
     weighted_bounds,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "mss_test_reduced",
     "neighborhood",
     "nominal_stability",
-    "robust_sufficient",
     "second_moment_map",
     "simulate_trajectory",
     "solve_bound_lp",

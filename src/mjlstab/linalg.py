@@ -1,10 +1,10 @@
 """Linear-algebra kernels shared by the analysis modules.
 
 Two spectral-radius solvers, both numpy only: `krylov_radius` (restarted
-Arnoldi on a matrix-vector product) for every scope and every large
-component of the nominal check, and `spectral_radius` (dense QR) for the
-small components, after Krylov gives up (`dense_radius`), in
-`robust.grid_scan_max_rho` and as the tests' oracle.
+Arnoldi on a matrix-vector product), the scopes' only solver, also for the
+large components of the nominal check, and `spectral_radius` (dense QR) for
+its other components (`dense_radius`), `robust.grid_scan_max_rho` and as
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -93,19 +93,19 @@ def dense_radius(rows: int, build, what: str) -> float:
     return spectral_radius(build())
 
 
-def krylov_radius(apply, start) -> float | None:
+def krylov_radius(apply, start, rightmost=False) -> float | None:
     """Largest eigenvalue magnitude of the linear map `apply` by thick-
     restarted Arnoldi from `start` (Krylov-Schur, Stewart 2001, with Ritz in
     place of Schur vectors), or None when 1 + dim^2 // 1024 cycles, work that
     grows with dim^3 as a dense eigensolve's does, do not settle it.
 
     Each cycle fills a basis of KRYLOV_STEPS + 1 vectors, allocated once,
-    orthogonalized twice by classical Gram-Schmidt, and returns the top Ritz
-    value theta on an invariant subspace (where it is exact) or once its
-    Ritz residual is at most _KRYLOV_TOL |theta|. Otherwise the next cycle
-    keeps the KRYLOV_STEPS // 2 Ritz vectors of largest modulus (a complex
-    pair by its real and imaginary parts), as ARPACK keeps half its space
-    for one wanted eigenvalue; a cyclic shift (none dominant) uses up the budget.
+    orthogonalized twice by classical Gram-Schmidt, and returns |theta| for
+    the top Ritz value theta, by modulus or with `rightmost` by real part
+    (ARPACK's "LR"), on an invariant subspace (where it is exact) or once
+    its Ritz residual is at most _KRYLOV_TOL |theta|. Otherwise the next
+    cycle keeps the KRYLOV_STEPS // 2 top Ritz vectors (a pair by its real
+    and imaginary parts), as ARPACK keeps half its space for one eigenvalue.
 
     A map that is nilpotent on the first cycle's invariant subspace of
     k >= 2 vectors gives a defective H whose eig is off by about eps^(1/k);
@@ -131,7 +131,7 @@ def krylov_radius(apply, start) -> float | None:
             basis[j + 1] = w / beta
         k = j + 1
         vals, vecs = np.linalg.eig(h[:k, :k])
-        order = np.argsort(-np.abs(vals), kind="stable")
+        order = np.argsort(-(vals.real if rightmost else np.abs(vals)), kind="stable")
         rho = float(np.abs(vals[order[0]]))
         if p == 0 and 2 <= k < steps:
             x = basis[0]

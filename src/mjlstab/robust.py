@@ -226,29 +226,6 @@ def column_corners(family: ModeFamily, eps) -> np.ndarray:
     return corners
 
 
-def robust_sufficient(family: ModeFamily, delta) -> bool:
-    """Norm-based sufficient stability check of a structured perturbation of
-    the family's chain.
-
-    delta must have zero row sums (rows of a chain keep summing to one) and
-    joint_P + delta must stay entrywise in [0, 1]; violations raise
-    ValueError. True means every column satisfies
-    sum_r alpha_r |delta_rs| < beta_s, which guarantees the perturbed
-    spectral test still passes. False says nothing either way.
-    """
-    m = family.mode_count
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (m, m):
-        raise ValueError(f"delta: expected ({m}, {m}), got {delta.shape}")
-    if np.any(np.abs(delta.sum(axis=1)) > 1e-10):
-        raise ValueError("perturbation rows must sum to zero")
-    perturbed = family.joint_P + delta
-    if np.any(perturbed < -1e-12) or np.any(perturbed > 1.0 + 1e-12):
-        raise ValueError("perturbed chain leaves [0, 1]")
-    alpha = alphas(family)
-    return bool(np.all(alpha @ np.abs(delta) < betas(family, alpha)))
-
-
 def grid_scan_max_rho(family: ModeFamily, eps, resolution: float = 1e-3) -> float:
     """Worst spectral radius over the certified box, for 2-mode chains.
 

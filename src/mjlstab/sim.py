@@ -244,11 +244,11 @@ def simulate_trajectory(
 
     Keeps the states and squared norms only; the link delays drawn at each
     step are used and dropped. Raises SizeLimitError, before anything is
-    allocated, when the (steps+1)·N·n kept states would exceed
-    `linalg.BYTE_CAP`.
+    allocated, when the (steps+1)·(N·n+1) kept states and squared norms and
+    the one-trial block (`_block_bytes`) would exceed `linalg.BYTE_CAP`.
     """
     check_bytes(
-        8 * (config.steps + 1) * model.n_agents * model.n,
+        8 * (config.steps + 1) * (model.n_agents * model.n + 1) + _block_bytes(model, 1),
         f"a {config.steps}-step trajectory record",
         "; use fewer --steps",
     )
@@ -259,6 +259,26 @@ def simulate_trajectory(
         n_agents=model.n_agents,
         n=model.n,
     )
+
+
+def _block_bytes(model: DncsModel, block: int) -> int:
+    """Bytes of a step loop over `block` trials, less norms and states: per
+    trial a generator, four state arrays (N·n: the state, the next one, the
+    diagonal scratch and the squares), the product ring, the delayed
+    products, their scratch and the gathered sender states ((q+3)·L·n), and
+    eight words per link (two uniforms, a threshold, two delays, a count, a
+    mask and a comparison); per block the matrix entries twice over
+    (n²·(N+L), stacked, then reordered), three link indices, numpy's
+    iteration buffers for one call (three of at most `np.getbufsize()`
+    elements) and its Python objects, a slot per incoming link of the busiest receiver."""
+    n_agents, n, q = model.n_agents, model.n, model.q
+    n_links = len(model.blocks) - n_agents
+    n_slots = max(len(senders(model, i)) for i in range(1, n_agents + 1))
+    return 8 * (
+        block * (4 * n_agents * n + (q + 3) * n_links * n + 8 * n_links)
+        + 2 * n * n * (n_agents + n_links) + 3 * n_links
+        + 3 * min(np.getbufsize(), block * n * max(n_agents, n_links))
+    ) + block * _GENERATOR_BYTES + _BLOCK_OBJECT_BYTES + n_slots * _SLOT_OBJECT_BYTES
 
 
 def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
@@ -274,28 +294,12 @@ def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:
     Raises SizeLimitError, before anything is allocated, when what it holds
     would exceed `linalg.BYTE_CAP`: the trial index and every trial's
     squared norms twice (as the blocks return them, then stacked), plus the
-    largest block. Each of its trials holds a generator, four state arrays
-    (N·n: the state, the next one, the diagonal scratch and the squares),
-    the product ring, the delayed products, their scratch and the gathered
-    sender states ((q+3)·L·n), and eight words per link (two uniforms, a
-    threshold, two delays, a count, a mask and a comparison). The block
-    holds the matrix entries twice over (n²·(N+L), stacked, then reordered),
-    three link indices, numpy's iteration buffers for one call (three of at
-    most `np.getbufsize()` elements) and its Python objects, with one slot
-    per incoming link of the busiest receiver.
+    largest block (`_block_bytes`).
     """
     workers = min(os.cpu_count() or 1, config.trials)
-    block, n_agents, n, q = -(-config.trials // workers), model.n_agents, model.n, model.q
-    n_links = len(model.blocks) - n_agents
-    n_slots = max(len(senders(model, i)) for i in range(1, n_agents + 1))
-    words = (
-        config.trials * (2 * config.steps + 3)
-        + block * (4 * n_agents * n + (q + 3) * n_links * n + 8 * n_links)
-        + 2 * n * n * (n_agents + n_links) + 3 * n_links
-        + 3 * min(np.getbufsize(), block * n * max(n_agents, n_links))
-    )
+    block = -(-config.trials // workers)
     check_bytes(
-        8 * words + block * _GENERATOR_BYTES + _BLOCK_OBJECT_BYTES + n_slots * _SLOT_OBJECT_BYTES,
+        8 * config.trials * (2 * config.steps + 3) + _block_bytes(model, block),
         f"{config.trials} trials of {config.steps} steps",
         "; use fewer --trials",
     )

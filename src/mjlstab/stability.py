@@ -10,11 +10,10 @@ neighborhood passes. Agents with the same exact local structure share one
 build and solve; symmetric agents can also be grouped in the report. Scopes
 run serially.
 
-Every scope is tested matrix free, by restarted Arnoldi
-(`linalg.krylov_radius`) on L from the stacked identities: only L is
-applied, as batched matmul, so the solver state is a basis of
-KRYLOV_STEPS + 1 stacks of m d x d matrices. Only when Arnoldi gives up is
-the dense test matrix built.
+Every scope takes one route, matrix free: restarted Arnoldi
+(`linalg.krylov_radius`) ranked by real part on L^p, p the joint chain's
+period, from the stacked identities. Only L is applied, as batched matmul,
+so the solver state is a basis of KRYLOV_STEPS + 1 stacks of m d x d matrices.
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for
@@ -29,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .linalg import KRYLOV_STEPS, check_bytes, dense_radius, inf_norm, krylov_radius
+from .linalg import KRYLOV_STEPS, check_bytes, inf_norm, krylov_radius
 from .model import DncsModel, neighborhood
 from .switched import ModeFamily, _size_hint, build_mode_family, enumerate_links
 
@@ -90,7 +89,6 @@ class ScopeResult:
     verdict: str
     m: int
     dim: int
-    solver: str  # "krylov" or "dense": the route of `scope_radius`
 
 
 @dataclass
@@ -124,7 +122,7 @@ def _overall(scopes) -> str:
 
 
 def _scope_result(family: ModeFamily) -> ScopeResult:
-    rho, solver = _solve_scope(family)
+    rho = scope_radius(family)
     return ScopeResult(
         scope=family.label,
         rho=rho,
@@ -132,39 +130,62 @@ def _scope_result(family: ModeFamily) -> ScopeResult:
         m=family.mode_count,
         dim=family.mode_count * family.state_dim**2,
         verdict=verdict(rho),
-        solver=solver,
     )
 
 
 def scope_radius(family: ModeFamily) -> float:
-    """Spectral radius of the second-moment operator L of one scope:
-    `linalg.krylov_radius` on L from the stacked identities, matrix free;
-    when that gives up (a chain that cycles through modes of one modulus,
-    say), `linalg.dense_radius` of the test matrix. Raises SizeLimitError
-    before any step when the Krylov state (its basis and one vector,
-    m*d^2 float64s each) would exceed BYTE_CAP.
+    """Spectral radius of the second-moment operator L of one scope, by
+    `linalg.krylov_radius` ranked by real part on (L/c)^p from the stacked
+    identities: p is the joint chain's `chain_period`, c (1 for p = 1) the
+    start's geometric-mean growth over p applications. Raises SizeLimitError
+    before any step when the Krylov state (m*d^2 float64s times
+    KRYLOV_STEPS + 2) would exceed BYTE_CAP, ArithmeticError naming the
+    scope when Krylov gives up.
 
-    The start excites the radius: L maps the PSD cone into itself (Costa,
-    Fragoso & Marques, Discrete-Time Markov Jump Linear Systems, 2005,
-    ch. 3), so rho(L) is an eigenvalue of L whose dual eigenvector Y is a
-    nonzero stack of PSD matrices. Then <Y, I> = sum_s tr Y_s > 0: the
-    start has a component along the Perron eigenvector, and rho(L) is in
-    the spectrum of L on the Krylov space.
-    """
-    return _solve_scope(family)[0]
-
-
-def _solve_scope(family: ModeFamily) -> tuple[float, str]:
-    """`scope_radius` and the solver that produced it: "krylov" or "dense"."""
+    L maps the PSD cone into itself (Costa, Fragoso & Marques 2005, ch. 3):
+    rho(L) is its rightmost eigenvalue (Krein-Rutman), with a PSD dual
+    eigenvector Y that the start excites (<Y, I> = sum_s tr Y_s > 0). Period
+    p puts the spectral circle together at rho^p under L^p (Varga 1962, ch.
+    2); rho = rho(L^p)^(1/p) for any p, and c keeps (rho/c)^p in range."""
     m, d = family.mode_count, family.state_dim
-    dim = m * d * d
-    what = f"scope {family.label}: the spectral test's"
-    check_bytes(8 * dim * (KRYLOV_STEPS + 2), f"{what} solver state", _size_hint(family.scope))
-    rho = krylov_radius(lambda v: second_moment_map(family, v.reshape(m, d, d)).ravel(),
-                        np.tile(np.eye(d).ravel(), m))
-    if rho is not None:
-        return rho, "krylov"
-    return dense_radius(dim, lambda: mss_matrix(family).matrix, f"{what} dense matrix"), "dense"
+    check_bytes(8 * m * d * d * (KRYLOV_STEPS + 2), f"scope {family.label}: the spectral "
+                "test's solver state", _size_hint(family.scope))
+    start, p, c = np.tile(np.eye(d).ravel(), m), chain_period(family.joint_P), 1.0
+
+    def apply(v, times=p):
+        for _ in range(times):
+            v = second_moment_map(family, v.reshape(m, d, d)).ravel() / c
+        return v
+
+    if p > 1:  # a zero norm (L^p vanishes on the start, so rho = 0) counts as 1
+        x, log_c = start, 0.0
+        for _ in range(p):
+            x = apply(x / (np.linalg.norm(x) or 1.0), 1)
+            log_c += np.log(np.linalg.norm(x) or 1.0) / p
+        c = float(np.exp(log_c))
+    theta = krylov_radius(apply, start, rightmost=True)
+    if theta is None:
+        raise ArithmeticError(f"scope {family.label}: restarted Arnoldi did not settle")
+    return c * theta ** (1.0 / p)
+
+
+def chain_period(p) -> int:
+    """Period of a chain from its support graph (a divisor of it when some
+    class is not closed): 1 if every state has a self-loop, else the lcm over
+    breadth-first trees of the gcd of level[u] + 1 - level[v] on their edges."""
+    if (np.diagonal(p) > 0).all():
+        return 1
+    support, level, period = np.asarray(p) > 0, np.full(len(p), -1), 1
+    while (level < 0).any():
+        root = np.argmax(level < 0)
+        earlier, level[root], frontier, g = level >= 0, 0, np.array([root]), 0
+        while frontier.size:
+            reach = support[frontier].any(axis=0) & ~earlier
+            depth, frontier = level[frontier[0]] + 1, np.flatnonzero(reach & (level < 0))
+            level[frontier] = depth
+            g = np.gcd.reduce(depth - level[reach], initial=g)
+        period = np.lcm(period, max(g, 1))
+    return int(period)
 
 
 def mss_test_family(family: ModeFamily) -> StabilityReport:

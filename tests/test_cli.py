@@ -375,15 +375,15 @@ def seeded_family():
 # versions, so a change that only moves code around shows it moved no bit.
 GOLDEN_STDOUT_SHA256 = {
     "analyze-pendulum-16": (("analyze", "--pendulum", "16"),
-        "928ef50a2c93891c04e5051426ca9d9e10a82e5c41be97d911020d5779e80710"),
+        "33862dfa478f47599f24bcbc3309fab71b7a0ece57d85a51701788e7efa6c900"),
     "analyze-pendulum-200-dedup": (("analyze", "--pendulum", "200", "--dedup"),
-        "6844171854806eecac1db43024704a60a2f3f8745b644241052258ed831da0d8"),
+        "19f2d30e376a21ab6fdd82a1f772662da04d6f67e49c3c723cea2e738eb9e109"),
     "robust-pendulum-16": (("robust", "--pendulum", "16"),
         "9d558d5ec40a5863763f9b9b60bc1f5a1530876d480eeb13bd7869b892a330e3"),
     "inspect-pendulum-16": (("inspect", "--pendulum", "16"),
         "db4810606add143b5f7f1e23b1e6a3e7bbabc223f8659ce80d7ae80c6fec57c7"),
     "analyze-family": (("analyze", "--family"),
-        "66216ff2bed2dca4eec2d707f5f37713e21bd8a91044dcc9cdf606eb7dbea3ed"),
+        "20863d1b49813fea81b691ed0d56e69c0c48ca6204551edf7c7fcc080386dee6"),
     "robust-family": (("robust", "--family"),
         "f890ad9a023784e7032e6e0b5da3e2646913dde37b80601dbf613a2a3d41384d"),
 }
@@ -639,7 +639,7 @@ def test_periodic_wide_scope_leaves_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     scope = json.loads(proc.stdout)["scopes"][0]
-    assert (scope["dim"], scope["solver"]) == (2304, "krylov")
+    assert scope["dim"] == 2304
     assert proc.stderr.split() == ["0", "False"]
 
 

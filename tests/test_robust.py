@@ -14,7 +14,6 @@ from mjlstab.robust import (
     column_corners,
     compute_bounds,
     grid_scan_max_rho,
-    robust_sufficient,
     solve_bound_lp,
     weighted_bounds,
 )
@@ -297,38 +296,6 @@ def test_column_corners_move_eps_into_each_column():
     )
     with pytest.raises(ValueError, match="one entry per mode"):
         column_corners(fam, [0.1])
-
-
-# ---------------------------------------------------------------------------
-# Structured perturbation check
-# ---------------------------------------------------------------------------
-
-
-def test_robust_sufficient_accepts_small_perturbation():
-    fam = scalar_family()
-    delta = [[0.01, -0.01], [0.01, -0.01]]
-    assert robust_sufficient(fam, delta) is True
-    perturbed = np.asarray(NOMINAL) + delta
-    assert spectral_radius(mss_matrix(replace(fam, joint_P=perturbed)).matrix) < 1.0
-
-
-def test_robust_sufficient_false_is_one_sided():
-    fam = scalar_family()
-    delta = [[0.35, -0.35], [0.03, -0.03]]
-    assert robust_sufficient(fam, delta) is False
-    # the exact test may still pass out there
-    perturbed = np.asarray(NOMINAL) + delta
-    assert spectral_radius(mss_matrix(replace(fam, joint_P=perturbed)).matrix) < 1.0
-
-
-def test_robust_sufficient_validates_structure():
-    fam = scalar_family()
-    with pytest.raises(ValueError, match="delta: expected"):
-        robust_sufficient(fam, np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="sum to zero"):
-        robust_sufficient(fam, [[0.1, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="leaves"):
-        robust_sufficient(fam, [[0.7, -0.7], [0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------

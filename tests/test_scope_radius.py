@@ -1,9 +1,10 @@
 """The matrix-free spectral test of scopes: restarted Arnoldi
-(`linalg.krylov_radius`) on the second-moment operator from the stacked
-identities at every size, and the dense eigensolve only when that gives up,
-the byte cap on solver state, and one build and solve per exact local
-structure in the reduced test. Dense eig of the test matrix, scipy's ARPACK
-on the operator and the covariance recursion are the oracles."""
+(`linalg.krylov_radius`) ranked by real part on the second-moment operator,
+or on its power at the joint chain's period, from the stacked identities at
+every size and with no dense route, the byte cap on solver state, and one
+build and solve per exact local structure in the reduced test. Dense eig of
+the test matrix, scipy's ARPACK on the operator, the covariance recursion
+and the cycle products of permutation chains are the oracles."""
 
 import json
 import math
@@ -20,7 +21,7 @@ from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
 from mjlstab.stability import (
     _local_structure,
     _scope_result,
-    _solve_scope,
+    chain_period,
     covariance_init,
     covariance_step,
     covariance_trace,
@@ -147,11 +148,115 @@ def test_deterministic_chain_matches_dense_eig(chain):
     fam = ModeFamily.from_matrices(base.matrices, p)
     scope = mss_test_family(fam).scopes[0]
     assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
-    assert scope.solver == "krylov"
+
+
+def round_robin_model(tau_d, n_agents=6):
+    """The pendulum chain under round-robin delays: each link's delay runs
+    0, 1, ..., tau_d, 0 deterministically, as under a TDMA schedule."""
+    q = tau_d + 1
+    chain = DelayChain(P=np.roll(np.eye(q), 1, axis=1), pi0=np.eye(q)[0])
+    return build_pendulum_model(n_agents, chain=chain)
+
+
+def cycle_product_rho(fam):
+    """Exact radius for a permutation chain: over each cycle of modes,
+    L^length maps Q to M Q M^T with M the product of the cycle's modes, so
+    rho(L) is the largest rho(M)^(2/length)."""
+    successor = fam.joint_P.argmax(axis=1)
+    assert np.array_equal(fam.joint_P, np.eye(fam.mode_count)[successor])
+    seen, best = np.zeros(fam.mode_count, dtype=bool), 0.0
+    for mode in range(fam.mode_count):
+        product, length = np.eye(fam.state_dim), 0
+        while not seen[mode]:
+            seen[mode] = True
+            product, mode, length = fam.matrices[mode] @ product, successor[mode], length + 1
+        if length:
+            best = max(best, np.abs(np.linalg.eigvals(product)).max() ** (2 / length))
+    return best
+
+
+@pytest.mark.parametrize("tau_d, m", [(2, 81), (3, 256)])
+def test_round_robin_scopes_match_cycle_products(tau_d, m, solver_calls):
+    # the interior scope's joint chain is the 4th Kronecker power of a
+    # cyclic shift, of period tau_d + 1; ranked by modulus Arnoldi on L took
+    # 7228 applications (6.5 s) at tau_d = 2 and 33565 (234 s) at tau_d = 3
+    model = round_robin_model(tau_d)
+    for agent in (1, 2):
+        fam = build_mode_family(model, scope=agent)
+        assert chain_period(fam.joint_P) == tau_d + 1
+        assert scope_radius(fam) == pytest.approx(cycle_product_rho(fam), abs=1e-12)
+    assert fam.mode_count == m
+    assert [call[0] for call in solver_calls] == ["krylov"] * 2
+
+
+def test_long_scalar_cycle_scales_the_chain_power():
+    # L^1024 of a weighted cyclic shift is (prod w_r^2) I: unscaled, its
+    # weights U(0.01, 1) underflow it to 0.0, and scaled by the norm of one
+    # application (3.01 rho) they still do. Dense eig of L is 11 % off here
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.01, 1.0, 1024)
+    fam = ModeFamily.from_matrices(w.reshape(-1, 1, 1), np.roll(np.eye(1024), 1, axis=1))
+    assert chain_period(fam.joint_P) == 1024
+    exact = np.exp(2 * np.log(w).mean())
+    assert scope_radius(fam) == pytest.approx(exact, rel=1e-12)
+
+
+def test_permutation_with_two_cycle_lengths_takes_their_lcm(solver_calls):
+    # modes 0-2 and 3-6 in two cycles, period lcm(3, 4) = 12. Each cycle's
+    # product is a multiple of an orthogonal matrix, scaled so that both
+    # give rho = 0.9: every eigenvalue of L lies on that circle, and ranked
+    # by modulus Arnoldi gave up
+    rng = np.random.default_rng(0)
+
+    def orthogonal():
+        return np.linalg.qr(rng.standard_normal((4, 4)))[0]
+
+    modes = []
+    for length in (3, 4):
+        cycle = [orthogonal() @ np.diag(np.exp(rng.uniform(-0.3, 0.3, 4))) @ orthogonal()
+                 for _ in range(length - 1)]
+        product = np.linalg.multi_dot(cycle[::-1])
+        modes += cycle + [0.9 ** (length / 2) * orthogonal() @ np.linalg.inv(product)]
+    fam = ModeFamily.from_matrices(modes, np.eye(7)[[1, 2, 0, 4, 5, 6, 3]])
+    assert chain_period(fam.joint_P) == 12
+    assert cycle_product_rho(fam) == pytest.approx(0.9, abs=1e-14)
+    assert scope_radius(fam) == pytest.approx(0.9, abs=1e-12)
+    assert [call[0] for call in solver_calls] == ["krylov"]
+
+
+def test_nearly_cyclic_chain_settles_by_real_part(solver_calls):
+    # every state has a self-loop, so p = 1, yet the top of the spectrum is
+    # a near-circle of 256 eigenvalues: ranked by modulus Arnoldi gave up
+    # after its 65 cycles (1280 applications), ranked by real part it
+    # settles in 578
+    rng = np.random.default_rng(5)
+    p = 0.999 * np.roll(np.eye(256), 1, axis=1) + 0.001 / 256
+    fam = ModeFamily.from_matrices(rng.uniform(0.5, 1.0, (256, 1, 1)), p)
+    assert chain_period(fam.joint_P) == 1
+    assert scope_radius(fam) == pytest.approx(dense_rho(fam), abs=1e-12)
+    assert [call[0] for call in solver_calls] == ["krylov"]
+
+
+@pytest.mark.parametrize("successor, period", [
+    ([0, 2, 1], 2),  # a fixed point beside a 2-cycle: a divisor of 2
+    ([1, 0, 3, 2], 2),
+    ([1, 2, 0, 0], 3),  # a transient state entering a 3-cycle
+])
+def test_chain_period_of_permutation_like_chains(successor, period):
+    assert chain_period(np.eye(len(successor))[successor]) == period
+
+
+def test_scope_that_krylov_does_not_settle_raises(monkeypatch, capsys):
+    monkeypatch.setattr(stability, "krylov_radius", lambda *args, **kwargs: None)
+    with pytest.raises(ArithmeticError, match="^scope agent 2: restarted Arnoldi"):
+        scope_radius(interior_family())
+    assert main(["analyze", "--pendulum", "4"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "scope agent 1: restarted Arnoldi did not settle"
 
 
 # ---------------------------------------------------------------------------
-# Solver order: Krylov at every size, the dense matrix only after it
+# One route: Krylov at every size, never the dense matrix
 # ---------------------------------------------------------------------------
 
 
@@ -162,8 +267,8 @@ def solver_calls(monkeypatch):
     calls = []
     real_krylov, real_mss = stability.krylov_radius, stability.mss_matrix
 
-    def krylov(*args):
-        rho = real_krylov(*args)
+    def krylov(*args, **kwargs):
+        rho = real_krylov(*args, **kwargs)
         calls.append(("krylov", rho))
         return rho
 
@@ -181,19 +286,18 @@ def test_small_scopes_take_krylov(solver_calls):
     assert fam.mode_count * fam.state_dim ** 2 == 256
     scope = mss_test_family(fam).scopes[0]
     assert solver_calls == [("krylov", scope.rho)]
-    assert scope.solver == "krylov"
     assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
 
 
 def test_small_periodic_scope_takes_krylov(solver_calls):
-    # a power iteration on the cyclic chain oscillates; Arnoldi resolves it
-    # without the dense test matrix
+    # a power iteration on the cyclic chain oscillates; Arnoldi on L^4
+    # resolves it without the dense test matrix
     base = endpoint_family()
     fam = ModeFamily.from_matrices(base.matrices, np.roll(np.eye(base.mode_count), 1, axis=1))
     assert fam.mode_count * fam.state_dim ** 2 <= QR_CUTOFF
+    assert chain_period(fam.joint_P) == 4
     scope = mss_test_family(fam).scopes[0]
-    assert solver_calls == [("krylov", scope.rho)]
-    assert scope.solver == "krylov"
+    assert [call[0] for call in solver_calls] == ["krylov"]
     assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
 
 
@@ -204,24 +308,24 @@ def test_full_network_scope_takes_one_krylov_cycle(monkeypatch):
     monkeypatch.setattr(stability, "second_moment_map",
                         lambda *args: steps.append(1) or real(*args))
     scope = mss_test_full(build_pendulum_model(4)).scopes[0]
-    assert (scope.dim, scope.solver) == (16384, "krylov")
+    assert scope.dim == 16384
     assert len(steps) <= 2 * KRYLOV_STEPS
 
 
-def test_scope_falls_back_to_dense_eig_after_krylov_stalls(solver_calls):
+def test_scalar_cycle_scope_takes_krylov_on_the_chain_power(solver_calls):
     # 64 scalar modes visited in a cycle: L is a weighted cyclic shift whose
-    # 64 eigenvalues share one modulus, so Arnoldi has no dominant direction
+    # 64 eigenvalues share one modulus, so ranked by modulus Arnoldi has no
+    # dominant direction; L^64 is a multiple of the identity
     rng = np.random.default_rng(12)
     fam = ModeFamily.from_matrices(rng.uniform(0.5, 1.0, (64, 1, 1)),
                                    np.roll(np.eye(64), 1, axis=1))
     scope = mss_test_family(fam).scopes[0]
-    assert solver_calls == [("krylov", None), ("mss_matrix",)]
-    assert scope.solver == "dense"
-    assert scope.rho == dense_rho(fam)
+    assert [call[0] for call in solver_calls] == ["krylov"]
+    assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
 
 
 @pytest.mark.parametrize("case", ["scalar_flip", "endpoint_flip"])
-def test_period_two_chain_takes_krylov(case):
+def test_period_two_chain_takes_krylov(case, solver_calls):
     # a joint chain that flips every step keeps a power iteration's growth
     # alternating; Arnoldi answers
     flip = [[0.0, 1.0], [1.0, 0.0]]
@@ -229,26 +333,23 @@ def test_period_two_chain_takes_krylov(case):
         fam = ModeFamily.from_matrices([[[0.5]], [[0.8]]], flip)
     else:
         fam = ModeFamily.from_matrices(endpoint_family().matrices, kron_power(flip, 2))
-    rho, solver = _solve_scope(fam)
-    assert solver == "krylov"
+    rho = scope_radius(fam)
+    assert [call[0] for call in solver_calls] == ["krylov"]
     assert rho == pytest.approx(dense_rho(fam), abs=1e-12)
 
 
-def test_random_small_families_match_dense_eig():
+def test_random_small_families_match_dense_eig(solver_calls):
     # every shape from 4 to 512 rows: m from 1 to 128 modes, d from 1 to 3
     rng = np.random.default_rng(5)
     shapes = [(4, 1), (1, 2), (1, 3), (128, 1), (128, 2), (56, 3)]
     shapes += [(int(rng.integers(max(1, 4 // d ** 2), min(128, 512 // d ** 2) + 1)), d)
                for d in (1, 2, 3) for _ in range(4)]
-    solvers = set()
     for m, d in shapes:
         assert 4 <= m * d * d <= QR_CUTOFF
         w = rng.standard_normal((m, d, d)) * rng.uniform(0.2, 1.0) / np.sqrt(d)
         fam = ModeFamily.from_matrices(w, rng.dirichlet(np.ones(m), size=m))
-        rho, solver = _solve_scope(fam)
-        solvers.add(solver)
-        assert rho == pytest.approx(dense_rho(fam), abs=1e-12)
-    assert solvers == {"krylov"}
+        assert scope_radius(fam) == pytest.approx(dense_rho(fam), abs=1e-12)
+    assert {call[0] for call in solver_calls} == {"krylov"}
 
 
 def test_nilpotent_family_has_radius_zero():
@@ -258,6 +359,15 @@ def test_nilpotent_family_has_radius_zero():
                                    rng.dirichlet(np.ones(8), size=8))
     assert scope_radius(fam) == 0.0
     assert dense_rho(fam) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_nilpotent_family_on_a_periodic_chain_has_radius_zero():
+    # L^3 vanishes on the start before the scaling of L^4 is known
+    rng = np.random.default_rng(7)
+    fam = ModeFamily.from_matrices(np.triu(rng.standard_normal((4, 3, 3)), 1),
+                                   np.roll(np.eye(4), 1, axis=1))
+    assert chain_period(fam.joint_P) == 4
+    assert scope_radius(fam) == 0.0
 
 
 @pytest.mark.parametrize("target", [1.0 - 1e-7, 1.0 + 1e-7])
@@ -432,7 +542,7 @@ def test_reduced_test_solves_each_local_structure_once(name, model, solved, monk
 
     monkeypatch.setattr(stability, "build_mode_family",
                         counted("build", stability.build_mode_family))
-    monkeypatch.setattr(stability, "_solve_scope", counted("solve", stability._solve_scope))
+    monkeypatch.setattr(stability, "scope_radius", counted("solve", stability.scope_radius))
     model = model()
     report = mss_test_reduced(model)
     assert len(report.scopes) == model.n_agents

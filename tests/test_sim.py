@@ -233,18 +233,36 @@ def test_estimate_ms_holds_no_more_than_its_size_check(monkeypatch, case, trials
     size check counted."""
     model = {"pendulum-200": lambda: build_pendulum_model(200),
              "tau2": pendulum_tau2, "grid": grid}[case]()
-    cfg = SimConfig(steps=50, trials=trials, seed=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert_peak_within_size_check(monkeypatch, estimate_ms, model,
+                                  SimConfig(steps=50, trials=trials, seed=2))
+
+
+@pytest.mark.parametrize("case, steps", [
+    ("pendulum-200", 50), ("pendulum-1000", 3), ("tau2", 50), ("grid", 50),
+])
+def test_trajectory_holds_no_more_than_its_size_check(monkeypatch, case, steps):
+    """The one-trial block of `simulate_trajectory`, with its kept states
+    and squared norms, stays within the bytes that its size check counted,
+    also where the loop's arrays outweigh the few states kept."""
+    model = {"pendulum-200": lambda: build_pendulum_model(200),
+             "pendulum-1000": lambda: build_pendulum_model(1000),
+             "tau2": pendulum_tau2, "grid": grid}[case]()
+    assert_peak_within_size_check(monkeypatch, simulate_trajectory, model,
+                                  SimConfig(steps=steps, seed=2))
+
+
+def assert_peak_within_size_check(monkeypatch, run, model, cfg):
     counted = []
 
     def recording_check(nbytes, *args):
         counted.append(nbytes)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(sim, "check_bytes", recording_check)
-    estimate_ms(model, cfg)  # first call: one-time numpy and module setup
+    run(model, cfg)  # first call: one-time numpy and module setup
     tracemalloc.start()
     try:
-        estimate_ms(model, cfg)
+        run(model, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -465,9 +483,12 @@ def fail_generator(seed, trial):
 
 
 def test_trajectory_size_check_refuses_before_allocating(monkeypatch):
-    # kept record: 4 rows of N*n = 6 states
+    # kept record: 4 rows of N*n = 6 states and their squared norms; the
+    # one-trial block: N*n = 6, L = 4, q = 2 as in the estimate's check below
     model, config = build_pendulum_model(3), SimConfig(steps=3)
-    need = 8 * 4 * 6
+    need = 8 * 4 * 7 + 8 * (4 * 6 + 5 * 4 * 2 + 8 * 4) + sim._GENERATOR_BYTES
+    need += sim._BLOCK_OBJECT_BYTES + 8 * (2 * 4 * 7 + 3 * 4 + 3 * 2 * 4)
+    need += 2 * sim._SLOT_OBJECT_BYTES
     monkeypatch.setattr(linalg, "BYTE_CAP", need)
     assert simulate_trajectory(model, config).states.shape == (4, 6)
     monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)

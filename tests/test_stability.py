@@ -103,7 +103,6 @@ def test_overall_precedence():
     def scope(v):
         return ScopeResult(
             scope="agent 1", rho=1.0, stable=False, m=1, dim=1, verdict=v,
-            solver="krylov",
         )
 
     assert _overall([scope("stable"), scope("stable")]) == "stable"
@@ -234,8 +233,7 @@ def test_reduced_report_shape():
     d = report.to_dict()
     assert set(d) == {"overall", "scopes", "classes"}
     assert d["classes"] is None
-    assert set(d["scopes"][0]) == {"scope", "rho", "stable", "verdict", "m", "dim", "solver"}
-    assert [s["solver"] for s in d["scopes"]] == ["krylov"] * 4
+    assert set(d["scopes"][0]) == {"scope", "rho", "stable", "verdict", "m", "dim"}
 
 
 # ---------------------------------------------------------------------------
