@@ -11,9 +11,9 @@ build and solve; symmetric agents can also be grouped in the report. Scopes
 run serially.
 
 Every scope takes one route, matrix free: restarted Arnoldi
-(`linalg.krylov_radius`) ranked by real part on L^p, p the joint chain's
-period, from the stacked identities. Only L is applied, as batched matmul,
-so the solver state is a basis of KRYLOV_STEPS + 1 stacks of m d x d matrices.
+(`linalg.krylov_radius`) ranked by real part on L^p, for each period p of
+the joint chain's cycles, from the stacked identities. Only L is applied, as
+batched matmul: the solver state is KRYLOV_STEPS + 1 stacks of m d x d.
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for
@@ -134,48 +134,48 @@ def _scope_result(family: ModeFamily) -> ScopeResult:
 
 
 def scope_radius(family: ModeFamily) -> float:
-    """Spectral radius of the second-moment operator L of one scope, by
-    `linalg.krylov_radius` ranked by real part on (L/c)^p from the stacked
-    identities: p is the joint chain's `chain_period`, c (1 for p = 1) the
-    start's geometric-mean growth over p applications. Raises SizeLimitError
-    before any step when the Krylov state (m*d^2 float64s times
-    KRYLOV_STEPS + 2) would exceed BYTE_CAP, ArithmeticError naming the
-    scope when Krylov gives up.
+    """Spectral radius of the second-moment operator L of one scope, the
+    largest over the `chain_periods` groups of that of L's block on the
+    group: `linalg.krylov_radius` ranked by real part on (L/c)^p from the
+    stacked identities, p the group's period and c (1 if p = 1) their
+    geometric-mean growth over p steps. SizeLimitError before any step if
+    the Krylov state (m*d^2 float64s times KRYLOV_STEPS + 2) would exceed
+    BYTE_CAP; ArithmeticError naming the scope if Krylov gives up.
 
     L maps the PSD cone into itself (Costa, Fragoso & Marques 2005, ch. 3):
     rho(L) is its rightmost eigenvalue (Krein-Rutman), with a PSD dual
-    eigenvector Y that the start excites (<Y, I> = sum_s tr Y_s > 0). Period
-    p puts the spectral circle together at rho^p under L^p (Varga 1962, ch.
-    2); rho = rho(L^p)^(1/p) for any p, and c keeps (rho/c)^p in range."""
+    eigenvector that the identities excite, also with L's output zeroed off
+    a group; L^p puts a circle of period p together at rho^p (Varga, ch. 2)."""
     m, d = family.mode_count, family.state_dim
     check_bytes(8 * m * d * d * (KRYLOV_STEPS + 2), f"scope {family.label}: the spectral "
                 "test's solver state", _size_hint(family.scope))
-    start, p, c = np.tile(np.eye(d).ravel(), m), chain_period(family.joint_P), 1.0
+    start, rho = np.tile(np.eye(d).ravel(), m), 0.0
+    for p, states in chain_periods(family.joint_P).items():
+        off, c = np.flatnonzero(~np.repeat(states, d * d)), 1.0
 
-    def apply(v, times=p):
-        for _ in range(times):
-            v = second_moment_map(family, v.reshape(m, d, d)).ravel() / c
-        return v
-
-    if p > 1:  # a zero norm (L^p vanishes on the start, so rho = 0) counts as 1
+        def apply(v, times=p):
+            for _ in range(times):
+                v = second_moment_map(family, v.reshape(m, d, d)).ravel() / c
+                v[off] = 0.0
+            return v
         x, log_c = start, 0.0
-        for _ in range(p):
+        for _ in range(p if p > 1 else 0):  # a zero norm (L^p vanishes: rho = 0) counts as 1
             x = apply(x / (np.linalg.norm(x) or 1.0), 1)
             log_c += np.log(np.linalg.norm(x) or 1.0) / p
         c = float(np.exp(log_c))
-    theta = krylov_radius(apply, start, rightmost=True)
-    if theta is None:
-        raise ArithmeticError(f"scope {family.label}: restarted Arnoldi did not settle")
-    return c * theta ** (1.0 / p)
+        theta = krylov_radius(apply, start, rightmost=True)
+        if theta is None:
+            raise ArithmeticError(f"scope {family.label}: restarted Arnoldi did not settle")
+        rho = max(rho, c * theta ** (1.0 / p))
+    return rho
 
 
-def chain_period(p) -> int:
-    """Period of a chain from its support graph (a divisor of it when some
-    class is not closed): 1 if every state has a self-loop, else the lcm over
-    breadth-first trees of the gcd of level[u] + 1 - level[v] on their edges."""
-    if (np.diagonal(p) > 0).all():
-        return 1
-    support, level, period = np.asarray(p) > 0, np.full(len(p), -1), 1
+def chain_periods(p) -> dict[int, np.ndarray]:
+    """States of a chain on cycles, a mask per period. Breadth-first trees,
+    each from the first state not reached, have edges out only into earlier
+    ones, so L is block triangular over them; the gcd of level[u] + 1 -
+    level[v] on a tree's edges is its class's period, or divides each's."""
+    support, level, groups = np.asarray(p) > 0, np.full(len(p), -1), {}
     while (level < 0).any():
         root = np.argmax(level < 0)
         earlier, level[root], frontier, g = level >= 0, 0, np.array([root]), 0
@@ -183,9 +183,9 @@ def chain_period(p) -> int:
             reach = support[frontier].any(axis=0) & ~earlier
             depth, frontier = level[frontier[0]] + 1, np.flatnonzero(reach & (level < 0))
             level[frontier] = depth
-            g = np.gcd.reduce(depth - level[reach], initial=g)
-        period = np.lcm(period, max(g, 1))
-    return int(period)
+            g = int(np.gcd.reduce(depth - level[reach], initial=g))
+        groups[g] = groups.get(g, False) | (level >= 0) & ~earlier
+    return {g: states for g, states in groups.items() if g}
 
 
 def mss_test_family(family: ModeFamily) -> StabilityReport:

@@ -1,10 +1,11 @@
 """The matrix-free spectral test of scopes: restarted Arnoldi
 (`linalg.krylov_radius`) ranked by real part on the second-moment operator,
-or on its power at the joint chain's period, from the stacked identities at
-every size and with no dense route, the byte cap on solver state, and one
-build and solve per exact local structure in the reduced test. Dense eig of
-the test matrix, scipy's ARPACK on the operator, the covariance recursion
-and the cycle products of permutation chains are the oracles."""
+or on its power at each period of the joint chain's cycles, from the stacked
+identities at every size and with no dense route, the byte cap on solver
+state, and one build and solve per exact local structure in the reduced
+test. Dense eig of the test matrix, scipy's ARPACK on the operator, the
+covariance recursion and the cycle products of permutation chains are the
+oracles."""
 
 import json
 import math
@@ -21,7 +22,7 @@ from mjlstab.model import DelayChain, DncsModel, build_pendulum_model
 from mjlstab.stability import (
     _local_structure,
     _scope_result,
-    chain_period,
+    chain_periods,
     covariance_init,
     covariance_step,
     covariance_trace,
@@ -183,7 +184,7 @@ def test_round_robin_scopes_match_cycle_products(tau_d, m, solver_calls):
     model = round_robin_model(tau_d)
     for agent in (1, 2):
         fam = build_mode_family(model, scope=agent)
-        assert chain_period(fam.joint_P) == tau_d + 1
+        assert list(chain_periods(fam.joint_P)) == [tau_d + 1]
         assert scope_radius(fam) == pytest.approx(cycle_product_rho(fam), abs=1e-12)
     assert fam.mode_count == m
     assert [call[0] for call in solver_calls] == ["krylov"] * 2
@@ -196,13 +197,13 @@ def test_long_scalar_cycle_scales_the_chain_power():
     rng = np.random.default_rng(3)
     w = rng.uniform(0.01, 1.0, 1024)
     fam = ModeFamily.from_matrices(w.reshape(-1, 1, 1), np.roll(np.eye(1024), 1, axis=1))
-    assert chain_period(fam.joint_P) == 1024
+    assert list(chain_periods(fam.joint_P)) == [1024]
     exact = np.exp(2 * np.log(w).mean())
     assert scope_radius(fam) == pytest.approx(exact, rel=1e-12)
 
 
-def test_permutation_with_two_cycle_lengths_takes_their_lcm(solver_calls):
-    # modes 0-2 and 3-6 in two cycles, period lcm(3, 4) = 12. Each cycle's
+def test_permutation_with_two_cycle_lengths_takes_each_period(solver_calls):
+    # modes 0-2 and 3-6 in two cycles, of periods 3 and 4. Each cycle's
     # product is a multiple of an orthogonal matrix, scaled so that both
     # give rho = 0.9: every eigenvalue of L lies on that circle, and ranked
     # by modulus Arnoldi gave up
@@ -218,10 +219,10 @@ def test_permutation_with_two_cycle_lengths_takes_their_lcm(solver_calls):
         product = np.linalg.multi_dot(cycle[::-1])
         modes += cycle + [0.9 ** (length / 2) * orthogonal() @ np.linalg.inv(product)]
     fam = ModeFamily.from_matrices(modes, np.eye(7)[[1, 2, 0, 4, 5, 6, 3]])
-    assert chain_period(fam.joint_P) == 12
+    assert sorted(chain_periods(fam.joint_P)) == [3, 4]
     assert cycle_product_rho(fam) == pytest.approx(0.9, abs=1e-14)
     assert scope_radius(fam) == pytest.approx(0.9, abs=1e-12)
-    assert [call[0] for call in solver_calls] == ["krylov"]
+    assert [call[0] for call in solver_calls] == ["krylov"] * 2
 
 
 def test_nearly_cyclic_chain_settles_by_real_part(solver_calls):
@@ -232,18 +233,47 @@ def test_nearly_cyclic_chain_settles_by_real_part(solver_calls):
     rng = np.random.default_rng(5)
     p = 0.999 * np.roll(np.eye(256), 1, axis=1) + 0.001 / 256
     fam = ModeFamily.from_matrices(rng.uniform(0.5, 1.0, (256, 1, 1)), p)
-    assert chain_period(fam.joint_P) == 1
+    assert list(chain_periods(fam.joint_P)) == [1]
     assert scope_radius(fam) == pytest.approx(dense_rho(fam), abs=1e-12)
     assert [call[0] for call in solver_calls] == ["krylov"]
 
 
-@pytest.mark.parametrize("successor, period", [
-    ([0, 2, 1], 2),  # a fixed point beside a 2-cycle: a divisor of 2
-    ([1, 0, 3, 2], 2),
-    ([1, 2, 0, 0], 3),  # a transient state entering a 3-cycle
+@pytest.mark.parametrize("successor, periods", [
+    ([0, 2, 1], {1: [0], 2: [1, 2]}),  # a fixed point beside a 2-cycle
+    ([1, 0, 3, 2], {2: [0, 1, 2, 3]}),
+    ([1, 2, 0, 0], {3: [0, 1, 2]}),  # a transient state, on no cycle, into a 3-cycle
 ])
-def test_chain_period_of_permutation_like_chains(successor, period):
-    assert chain_period(np.eye(len(successor))[successor]) == period
+def test_chain_periods_of_permutation_like_chains(successor, periods):
+    found = chain_periods(np.eye(len(successor))[successor])
+    assert {p: np.flatnonzero(states).tolist() for p, states in found.items()} == periods
+
+
+def cycle_chain(lengths):
+    """A permutation chain through cycles of the given lengths, in turn."""
+    successor, first = [], 0
+    for length in lengths:
+        successor += [first + (k + 1) % length for k in range(length)]
+        first += length
+    return np.eye(first)[successor]
+
+
+@pytest.mark.parametrize("lengths, d", [([2, 3, 5, 7, 11, 13, 17, 19, 23], 1), ([3, 64], 2)])
+def test_coprime_cycles_take_each_period(lengths, d, monkeypatch):
+    # one period for the whole chain, the lcm of its cycle lengths, would be
+    # 223,092,870 for the primes to 23, each Krylov step applying L that
+    # often; ranked by real part on L alone, the 3 + 64 family settles
+    # 1.1e-6 off. Each cycle takes its own period, in a few hundred applications
+    steps = []
+    real = stability.second_moment_map
+    monkeypatch.setattr(stability, "second_moment_map",
+                        lambda *args: steps.append(1) or real(*args))
+    rng = np.random.default_rng(0)
+    m = sum(lengths)
+    w = rng.uniform(0.01, 1.0, (m, 1, 1)) * rng.standard_normal((m, d, d)) / np.sqrt(d)
+    fam = ModeFamily.from_matrices(w, cycle_chain(lengths))
+    assert sorted(chain_periods(fam.joint_P)) == lengths
+    assert scope_radius(fam) == pytest.approx(cycle_product_rho(fam), rel=1e-12)
+    assert len(steps) <= 1000
 
 
 def test_scope_that_krylov_does_not_settle_raises(monkeypatch, capsys):
@@ -295,7 +325,7 @@ def test_small_periodic_scope_takes_krylov(solver_calls):
     base = endpoint_family()
     fam = ModeFamily.from_matrices(base.matrices, np.roll(np.eye(base.mode_count), 1, axis=1))
     assert fam.mode_count * fam.state_dim ** 2 <= QR_CUTOFF
-    assert chain_period(fam.joint_P) == 4
+    assert list(chain_periods(fam.joint_P)) == [4]
     scope = mss_test_family(fam).scopes[0]
     assert [call[0] for call in solver_calls] == ["krylov"]
     assert scope.rho == pytest.approx(dense_rho(fam), abs=1e-12)
@@ -366,7 +396,7 @@ def test_nilpotent_family_on_a_periodic_chain_has_radius_zero():
     rng = np.random.default_rng(7)
     fam = ModeFamily.from_matrices(np.triu(rng.standard_normal((4, 3, 3)), 1),
                                    np.roll(np.eye(4), 1, axis=1))
-    assert chain_period(fam.joint_P) == 4
+    assert list(chain_periods(fam.joint_P)) == [4]
     assert scope_radius(fam) == 0.0
 
 
