@@ -17,8 +17,9 @@ writes only into arrays made before it. `simulate_trajectory` runs a block
 of one trial and keeps its states; `estimate_ms` runs one block per core and
 keeps only squared norms. The loop's per-step work has no data-dependent
 branch: the delayed product of each link is picked from the ring of the
-last q products by bit masks. Both refuse, before they allocate, a run
-whose arrays would exceed `linalg.BYTE_CAP`.
+last q products by bit masks, and one scatter-add sums every link into its
+receiver. Both refuse, before they allocate, a run whose arrays would
+exceed `linalg.BYTE_CAP`.
 
 The CSV helpers format their rows in chunks of about 256 KB of text and pass
 each chunk to a `write` callback, so an export holds the trajectory array
@@ -34,7 +35,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .linalg import check_bytes
-from .model import DncsModel, senders
+from .model import DncsModel
 from .switched import enumerate_links
 
 _MASK64 = (1 << 64) - 1
@@ -42,11 +43,10 @@ _MASK64 = (1 << 64) - 1
 # Characters of CSV text gathered before they are passed to `write`.
 CSV_CHUNK_CHARS = 1 << 18
 
-# Bytes one trial's Philox generator holds, and a block's Python objects in
-# all and per slot (measured with numpy 2.4: at most 12 KB and 150 B).
+# Bytes one trial's Philox generator holds, and a block's Python objects
+# (measured with numpy 2.4: at most 12 KB).
 _GENERATOR_BYTES = 640
 _BLOCK_OBJECT_BYTES = 16384
-_SLOT_OBJECT_BYTES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,21 +85,18 @@ def _trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _next_delay(u, cum, prev=None, out=None, scratch=None) -> np.ndarray:
+def _next_delay(u, cum, prev, out, scratch) -> np.ndarray:
     """Delays drawn at uniforms u by inverting the cumulative distribution
-    `cum` (q,), or with `prev` the rows cum[prev] of a cumulative transition
-    matrix (q, q).
+    `cum` (q,), or with `prev` (else None) the rows cum[prev] of a cumulative
+    transition matrix (q, q), written into `out`.
 
     Only the first q-1 thresholds count: the last one may sit just below 1
     (rounding of the cumsum, or rows summing to 1 - 1e-12), and a draw above
-    it must still give the last delay, q-1, not q. Given `out` (not `prev`),
-    `scratch` (an intp, a float and a bool array of u's shape) and a `cum`
-    with contiguous columns, the draw allocates nothing.
+    it must still give the last delay, q-1, not q. With `scratch` (an intp, a
+    float and a bool array of u's shape) and a `cum` with contiguous columns,
+    the draw allocates nothing.
     """
-    count, thr, hit = scratch or (
-        np.empty(u.shape, dtype=np.intp), np.empty(u.shape), np.empty(u.shape, dtype=bool)
-    )
-    out = np.empty(u.shape, dtype=np.intp) if out is None else out
+    count, thr, hit = scratch
     out.fill(0)
     for c in range(cum.shape[-1] - 1):
         col = cum[c] if prev is None else np.take(cum[:, c], prev, out=thr, mode="clip")
@@ -123,13 +120,14 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
 
     States are (T, n, N), link products (T, n, L) and delays (T, L), and
     each matrix entry is an (n, N) or (n, L) row broadcast over the trials.
-    Links are in slot-major order: slot s holds each receiver's s-th
-    incoming link, so a slot's receivers are unique and, where they form a
-    contiguous range, its adds are slices. The loop writes only into arrays
-    made before it (`estimate_ms` counts them). Each trial draws from its own
-    generator in the order described above, so every trial gives the same
-    bits as when run alone. Returns the squared norms (T, steps+1) and, with
-    keep (one trial), the states (steps+1, N, n), else None.
+    Links are sorted by receiver, then sender, and one unbuffered scatter-add
+    per step sums them into the next state: `np.add.at` applies its adds in
+    index order, so each receiver adds its links in sender order. The loop
+    writes only into arrays made before it (`estimate_ms` counts them). Each
+    trial draws from its own generator in the order described above, so
+    every trial gives the same bits as when run alone. Returns the squared
+    norms (T, steps+1) and, with keep (one trial), the states
+    (steps+1, N, n), else None.
     """
     rngs = [_trial_generator(config.seed, int(t)) for t in trials]
     n_trials, steps = len(rngs), config.steps
@@ -144,22 +142,18 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
     else:
         x[:] = np.asarray(config.init, dtype=float).reshape(n_agents, n).T
 
-    links = enumerate_links(model)  # sorted by receiver
+    links = enumerate_links(model)  # sorted by receiver, then sender
     n_links = len(links)
-    pairs = np.array(links, dtype=np.intp).reshape(n_links, 2) - 1
-    rank = np.arange(n_links) - np.searchsorted(pairs[:, 0], pairs[:, 0])  # slot
-    order = np.argsort(rank, kind="stable")
-    bounds = np.searchsorted(rank[order], np.arange(rank.max(initial=-1) + 2)).tolist()
-    receivers, sources = pairs[order].T.copy()
+    receivers, sources = (np.array(links, dtype=np.intp).reshape(n_links, 2) - 1).T.copy()
 
     def coef(mats):  # coef[j, i, r] is entry (i, j) of matrix r
         return np.array(mats, dtype=float).reshape(-1, n, n).transpose(2, 1, 0).copy()
 
     diag_coef = coef([model.blocks[(i, i)] for i in range(1, n_agents + 1)])
-    link_coef = coef([model.blocks[links[l]] for l in order])
-    del links, pairs, rank  # setup only: freed before the loop's arrays are made
+    link_coef = coef([model.blocks[link] for link in links])
+    del links  # setup only: freed before the loop's arrays are made
 
-    u, u_slot = np.empty((2, n_trials, n_links))
+    u = np.empty((n_trials, n_links))
     delays, drawn = np.empty((2, n_trials, n_links), dtype=np.intp)
     hit = np.empty(u.shape, dtype=bool)
     scratch = (np.empty_like(delays), np.empty_like(u), hit)
@@ -167,30 +161,23 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
     def draw(cum, prev, out):
         for t, rng in enumerate(rngs):
             rng.random(out=u[t])
-        np.take(u, order, axis=1, out=u_slot, mode="clip")
-        _next_delay(u_slot, cum, prev, out, scratch)
+        _next_delay(u, cum, prev, out, scratch)
 
     draw(np.cumsum(model.chain.pi0), None, delays)
     cum_p = np.asfortranarray(np.cumsum(model.chain.P, axis=1))
 
     x_next, tmp, sq = np.empty_like(x), np.empty_like(x), np.empty((n_trials, n_agents, n))
+    # flat views of the two state buffers, swapped with them
+    x_flat, x_next_flat = x.reshape(-1), x_next.reshape(-1)
+    # into[t, c, l] is the flat index of trial t, coordinate c, receiver of l
+    into = (np.arange(n_trials)[:, None, None] * n + np.arange(n)[:, None]) * n_agents
+    into = (into + receivers).reshape(-1)
     # ring of the last q link products M_l x(k)[sender_l]; x(k) for k < 0 is x(0)
     prods = np.empty((q, n_trials, n, n_links))
     delayed, link_tmp, xs = np.empty((3, n_trials, n, n_links))
     np.take(x, sources, axis=2, out=xs, mode="clip")
     _products(link_coef, xs, delayed, link_tmp)
     prods[:] = delayed
-    # (receivers, links, scratch) of each slot; receivers that are not a
-    # contiguous range are gathered into the front of xs (free until the
-    # sender gather), added to and scattered back
-    slots = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        dst = receivers[lo:hi]
-        if dst[-1] - dst[0] == hi - lo - 1:
-            slots.append((slice(dst[0], dst[-1] + 1), slice(lo, hi), None))
-        else:
-            part = xs.reshape(-1)[: n_trials * n * (hi - lo)].reshape(n_trials, n, -1)
-            slots.append((dst, slice(lo, hi), part))
     # the delayed products are picked by XOR, AND, XOR on their bit patterns:
     # no branch on a fresh random mask, and exact for every float (signed
     # zeros and NaN payloads included)
@@ -222,18 +209,12 @@ def _simulate_block(model: DncsModel, config: SimConfig, trials, keep=False):
             pick_bits &= mask
             np.bitwise_xor(src.view(np.int64), pick_bits, out=delayed_bits)
             src = delayed
-        for dst, links_of, part in slots:
-            if part is None:
-                x_next[:, :, dst] += src[:, :, links_of]
-            else:
-                np.take(x_next, dst, axis=2, out=part, mode="clip")
-                part += src[:, :, links_of]
-                x_next[:, :, dst] = part
+        np.add.at(x_next_flat, into, src.reshape(-1))
         np.take(x_next, sources, axis=2, out=xs, mode="clip")
         _products(link_coef, xs, prods[(k + 1) % q], link_tmp)
         draw(cum_p, delays, drawn)
         delays, drawn = drawn, delays
-        x, x_next = x_next, x
+        x, x_next, x_flat, x_next_flat = x_next, x, x_next_flat, x_flat
     return sqnorm, states
 
 
@@ -265,20 +246,19 @@ def _block_bytes(model: DncsModel, block: int) -> int:
     """Bytes of a step loop over `block` trials, less norms and states: per
     trial a generator, four state arrays (N·n: the state, the next one, the
     diagonal scratch and the squares), the product ring, the delayed
-    products, their scratch and the gathered sender states ((q+3)·L·n), and
-    eight words per link (two uniforms, a threshold, two delays, a count, a
-    mask and a comparison); per block the matrix entries twice over
-    (n²·(N+L), stacked, then reordered), three link indices, numpy's
-    iteration buffers for one call (three of at most `np.getbufsize()`
-    elements) and its Python objects, a slot per incoming link of the busiest receiver."""
+    products, their scratch, the gathered sender states and the receiver
+    index of each link product ((q+4)·L·n), and seven words per link (a
+    uniform, a threshold, two delays, a count, a mask and a comparison); per
+    block the matrix entries twice over (n²·(N+L), stacked, then reordered),
+    two link indices, numpy's iteration buffers for one call (three of at
+    most `np.getbufsize()` elements) and its Python objects."""
     n_agents, n, q = model.n_agents, model.n, model.q
     n_links = len(model.blocks) - n_agents
-    n_slots = max(len(senders(model, i)) for i in range(1, n_agents + 1))
     return 8 * (
-        block * (4 * n_agents * n + (q + 3) * n_links * n + 8 * n_links)
-        + 2 * n * n * (n_agents + n_links) + 3 * n_links
+        block * (4 * n_agents * n + (q + 4) * n_links * n + 7 * n_links)
+        + 2 * n * n * (n_agents + n_links) + 2 * n_links
         + 3 * min(np.getbufsize(), block * n * max(n_agents, n_links))
-    ) + block * _GENERATOR_BYTES + _BLOCK_OBJECT_BYTES + n_slots * _SLOT_OBJECT_BYTES
+    ) + block * _GENERATOR_BYTES + _BLOCK_OBJECT_BYTES
 
 
 def estimate_ms(model: DncsModel, config: SimConfig) -> np.ndarray:

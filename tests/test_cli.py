@@ -417,7 +417,7 @@ def overflow_ring(n_agents=4, a=1e30, c=1e30):
 # sha256 of the CSVs of `simulate --model <model> --steps S --trials T --seed 3`.
 # The tau_d = 2 pendulum has q = 3, so the delayed-product select picks from
 # more than one older product; the overflow ring's CSVs hold inf, -inf and nan.
-# The star's second slot has receivers 1 and 5, not a contiguous range.
+# The star's receivers 1 and 5 each sum several links, in sender order.
 GOLDEN_MODEL_CSV_SHA256 = {
     "tau2-5-trials": (pendulum_tau2, 60, 5,
                       "242e05105c2b321096b4d9ed55421fc9d738aeec3cc83a67dc9d41a28342db41"),

@@ -141,8 +141,8 @@ def ladder():
 
 def star():
     """Agent 1 receives from spokes 2-8 and sends back to each; agent 9 only
-    sends, to agent 5. Receivers 1 and 5 take second incoming links, so that
-    slot's receivers are not a contiguous range."""
+    sends, to agent 5. Receivers 1 and 5 each sum several incoming links, in
+    sender order, within one scatter-add."""
     diag = 0.6 * np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
     shear = np.array([[0.5, 1.0], [-0.25, 0.75]])
     blocks = {(i, i): diag for i in range(1, 10)}
@@ -269,6 +269,35 @@ def assert_peak_within_size_check(monkeypatch, run, model, cfg):
     assert peak <= counted[-1]
 
 
+def scalar_network(n_agents, edges):
+    """Scalar agents with a link each way along every edge (a, b)."""
+    blocks = {(i, i): np.array([[0.5]]) for i in range(1, n_agents + 1)}
+    for a, b in edges:
+        blocks[(a, b)] = blocks[(b, a)] = np.array([[0.2 / len(edges)]])
+    chain = DelayChain(P=[[0.5, 0.5], [0.5, 0.5]], pi0=[0.5, 0.5])
+    return DncsModel(n_agents=n_agents, n=1, tau_d=1, blocks=blocks, chain=chain)
+
+
+def test_step_cost_does_not_grow_with_a_receivers_in_degree():
+    """A hub that takes 1000 links costs about what a ring with the same
+    2000 links does: the step loop adds every link in one scatter-add, not
+    once per incoming link of the busiest receiver (which took 30 times as
+    long)."""
+    star = scalar_network(1001, [(1, i) for i in range(2, 1002)])
+    ring = scalar_network(1000, [(i, i % 1000 + 1) for i in range(1, 1001)])
+    cfg = SimConfig(steps=200, trials=2)
+
+    def median_seconds(model):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            sim._simulate_block(model, cfg, [0, 1])
+            times.append(time.perf_counter() - started)
+        return sorted(times)[1]
+
+    assert median_seconds(star) <= 3 * median_seconds(ring)
+
+
 # ---------------------------------------------------------------------------
 # Worker processes of parallel_map
 # ---------------------------------------------------------------------------
@@ -345,6 +374,13 @@ def test_parallel_map_reaps_children_when_the_parent_item_raises():
 # ---------------------------------------------------------------------------
 
 
+def next_delay(u, cum, prev=None):
+    """`_next_delay` into new output and scratch arrays of u's shape."""
+    out = np.empty(u.shape, dtype=np.intp)
+    scratch = (np.empty_like(out), np.empty(u.shape), np.empty(u.shape, dtype=bool))
+    return _next_delay(u, cum, prev, out, scratch)
+
+
 @pytest.mark.parametrize("row", [[0.7, 0.2, 0.1], [0.5, 0.3, 0.2 - 1e-12]])
 def test_delay_draw_above_last_threshold_stays_in_range(row):
     """The cumulative row may end just below 1 (0.9999999999999999 for
@@ -353,10 +389,10 @@ def test_delay_draw_above_last_threshold_stays_in_range(row):
     cum = np.cumsum(row)
     u = np.nextafter(1.0, 0.0)
     assert u >= cum[-1]
-    assert _next_delay(np.array([u]), cum)[0] == 2
+    assert next_delay(np.array([u]), cum)[0] == 2
     # the same row as the transition row out of delay 1
     cum_p = np.cumsum([[1.0, 0.0, 0.0], row, [0.0, 0.0, 1.0]], axis=1)
-    assert np.array_equal(_next_delay(np.full(2, u), cum_p, np.array([1, 1])), [2, 2])
+    assert np.array_equal(next_delay(np.full(2, u), cum_p, np.array([1, 1])), [2, 2])
 
 
 def test_delay_draw_matches_full_count_below_the_last_threshold():
@@ -366,10 +402,10 @@ def test_delay_draw_matches_full_count_below_the_last_threshold():
     u = rng.random((5, 6)) * 0.999
     assert np.all(u < cum_p[:, -1].min())
     assert np.array_equal(
-        _next_delay(u, cum_p, prev), (u[..., None] >= cum_p[prev]).sum(axis=-1)
+        next_delay(u, cum_p, prev), (u[..., None] >= cum_p[prev]).sum(axis=-1)
     )
     assert np.array_equal(
-        _next_delay(u, cum_p[0]), (u[..., None] >= cum_p[0]).sum(axis=-1)
+        next_delay(u, cum_p[0]), (u[..., None] >= cum_p[0]).sum(axis=-1)
     )
 
 
@@ -486,9 +522,8 @@ def test_trajectory_size_check_refuses_before_allocating(monkeypatch):
     # kept record: 4 rows of N*n = 6 states and their squared norms; the
     # one-trial block: N*n = 6, L = 4, q = 2 as in the estimate's check below
     model, config = build_pendulum_model(3), SimConfig(steps=3)
-    need = 8 * 4 * 7 + 8 * (4 * 6 + 5 * 4 * 2 + 8 * 4) + sim._GENERATOR_BYTES
-    need += sim._BLOCK_OBJECT_BYTES + 8 * (2 * 4 * 7 + 3 * 4 + 3 * 2 * 4)
-    need += 2 * sim._SLOT_OBJECT_BYTES
+    need = 8 * 4 * 7 + 8 * (4 * 6 + 6 * 4 * 2 + 7 * 4) + sim._GENERATOR_BYTES
+    need += sim._BLOCK_OBJECT_BYTES + 8 * (2 * 4 * 7 + 2 * 4 + 3 * 2 * 4)
     monkeypatch.setattr(linalg, "BYTE_CAP", need)
     assert simulate_trajectory(model, config).states.shape == (4, 6)
     monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
@@ -500,15 +535,14 @@ def test_trajectory_size_check_refuses_before_allocating(monkeypatch):
 def test_estimate_size_check_refuses_before_allocating(monkeypatch):
     model, config = build_pendulum_model(3), SimConfig(steps=3, trials=5)
     block = -(-5 // min(os.cpu_count() or 1, 5))
-    # N*n = 6, L = 4, q = 2: four state arrays, the ring and its three
-    # scratch arrays, eight per-link words and a generator per trial of a
-    # block; the index and the squared norms (twice) for every trial
-    per_trial = 8 * (4 * 6 + 5 * 4 * 2 + 8 * 4) + sim._GENERATOR_BYTES
+    # N*n = 6, L = 4, q = 2: four state arrays, the ring, its three scratch
+    # arrays and the receiver index, seven per-link words and a generator per
+    # trial of a block; the index and the squared norms (twice) for every trial
+    per_trial = 8 * (4 * 6 + 6 * 4 * 2 + 7 * 4) + sim._GENERATOR_BYTES
     need = 8 * 5 + 16 * 5 * 4 + block * per_trial + sim._BLOCK_OBJECT_BYTES
-    # and per block: the matrices twice, three link indices, iteration
-    # buffers for three operands of a block's largest array, one slot per
-    # incoming link of the busiest receiver
-    need += 8 * (2 * 4 * 7 + 3 * 4 + 3 * block * 2 * 4) + 2 * sim._SLOT_OBJECT_BYTES
+    # and per block: the matrices twice, two link indices and iteration
+    # buffers for three operands of a block's largest array
+    need += 8 * (2 * 4 * 7 + 2 * 4 + 3 * block * 2 * 4)
     monkeypatch.setattr(linalg, "BYTE_CAP", need)
     assert estimate_ms(model, config).shape == (4,)
     monkeypatch.setattr(linalg, "BYTE_CAP", need - 1)
