@@ -20,7 +20,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,21 +66,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every --out artifact."""
-
-    command: str
-    arguments: list
-    version: str
-    model_digest: str
-    result_digest: str
-    timings: dict
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, "r") as fh:
@@ -118,7 +102,7 @@ def _load_family(path: str) -> ModeFamily:
     return ModeFamily.from_matrices(doc["matrices"], doc["P"], pi0=doc.get("pi0"))
 
 
-def _model_source(args, allow_family: bool):
+def _model_source(args):
     """Resolve exactly one of --model / --pendulum / --family.
 
     Returns (model, family): family is None for DNCS sources, model is None
@@ -134,7 +118,8 @@ def _model_source(args, allow_family: bool):
         if present
     ]
     if len(chosen) != 1:
-        what = "--model, --pendulum or --family" if allow_family else "--model or --pendulum"
+        what = ("--model, --pendulum or --family" if hasattr(args, "family")
+                else "--model or --pendulum")
         raise _UsageError(f"exactly one of {what} is required (got {chosen or 'none'})")
     if args.param and args.pendulum is None:
         raise _UsageError("--param only applies to --pendulum")
@@ -172,10 +157,10 @@ def _layout_digest(counts, arrays) -> str:
     return digest.hexdigest()
 
 
-def _emit(doc: dict, args, command: str, source, started: float, payload=None) -> None:
-    """Print the result JSON; with --out, also write the artifact and its
-    manifest, whose model digest is that of `source`, the model or family
-    the command ran on.
+def _emit(doc: dict, args, source, started: float, payload=None) -> None:
+    """Print the result JSON; with --out, also write the artifact and the
+    run manifest next to it, whose model digest is that of `source`, the
+    model or family the command ran on.
 
     The artifact is the same JSON unless `payload` is given: a function
     that passes the artifact's text, chunk by chunk, to the `write` it is
@@ -184,7 +169,7 @@ def _emit(doc: dict, args, command: str, source, started: float, payload=None) -
     """
     text = json.dumps(doc, indent=2)
     print(text)
-    out = getattr(args, "out", None)
+    out = args.out
     if out is None:
         return
     digest = hashlib.sha256()
@@ -199,16 +184,16 @@ def _emit(doc: dict, args, command: str, source, started: float, payload=None) -
             write(text + "\n")
         else:
             payload(write)
-    manifest = RunManifest(
-        command=command,
-        arguments=[str(a) for a in (args._argv or [])],
-        version=__version__,
-        model_digest=_source_digest(source),
-        result_digest=digest.hexdigest(),
-        timings={"total_s": round(time.monotonic() - started, 6)},
-    )
+    manifest = {
+        "command": args.command,
+        "arguments": [str(a) for a in args._argv],
+        "version": __version__,
+        "model_digest": _source_digest(source),
+        "result_digest": digest.hexdigest(),
+        "timings": {"total_s": round(time.monotonic() - started, 6)},
+    }
     with open(out + ".manifest.json", "w", newline="\n") as fh:
-        fh.write(json.dumps(manifest.to_dict(), indent=2) + "\n")
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _count_json(count):
@@ -219,7 +204,7 @@ def _count_json(count):
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
-    model, family = _model_source(args, allow_family=True)
+    model, family = _model_source(args)
     doc: dict = {"command": "analyze"}
     if family is not None:
         report = mss_test_family(family)
@@ -232,14 +217,14 @@ def cmd_analyze(args) -> int:
         else:
             report = mss_test_reduced(model, dedup=args.dedup)
     doc.update(report.to_dict())
-    _emit(doc, args, "analyze", model or family, started)
+    _emit(doc, args, model or family, started)
     return _EXIT_BY_VERDICT[report.overall]
 
 
 def cmd_robust(args) -> int:
     started = time.monotonic()
     check_margin(args.margin)  # before any model work
-    model, family = _model_source(args, allow_family=True)
+    model, family = _model_source(args)
     entries = []
     if family is not None:
         bound = compute_bounds(family, margin=args.margin)
@@ -251,13 +236,13 @@ def cmd_robust(args) -> int:
             bound = compute_bounds(fam, margin=args.margin)
             entries.append({"scope": f"agent {rep}", "agents": cls, **bound.to_dict()})
     doc = {"command": "robust", "classes": entries}
-    _emit(doc, args, "robust", model or family, started)
+    _emit(doc, args, model or family, started)
     return 0
 
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    model, _ = _model_source(args, allow_family=False)
+    model, _ = _model_source(args)
     if args.out is None:
         raise _UsageError("simulate requires --out for the CSV")
     config = SimConfig(steps=args.steps, trials=args.trials, seed=args.seed)
@@ -281,13 +266,13 @@ def cmd_simulate(args) -> int:
             "initial_mean_sq": float(ms[0]),
             "final_mean_sq": float(ms[-1]),
         }
-    _emit(doc, args, "simulate", model, started, payload=payload)
+    _emit(doc, args, model, started, payload=payload)
     return 0
 
 
 def cmd_inspect(args) -> int:
     started = time.monotonic()
-    model, _ = _model_source(args, allow_family=False)
+    model, _ = _model_source(args)
     agents = [
         {
             "agent": i,
@@ -318,7 +303,7 @@ def cmd_inspect(args) -> int:
         "agents": agents,
         "classes": classes,
     }
-    _emit(doc, args, "inspect", model, started)
+    _emit(doc, args, model, started)
     return 0
 
 

@@ -49,10 +49,8 @@ class ModelError(ValueError):
     """
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise ModelError(f"expected array of shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -535,9 +533,6 @@ def load_model(text: str) -> DncsModel:
         if i != j and not mat.any():
             raise ModelError(f"{path}: off-diagonal block ({i}, {j}) is zero; omit it instead")
         blocks[(i, j)] = mat
-    for i in range(1, n_agents + 1):
-        if (i, i) not in blocks:
-            raise ModelError(f"blocks: missing diagonal block for agent {i}")
 
     raw_chain = _req(doc, "chain", "")
     if not isinstance(raw_chain, dict):

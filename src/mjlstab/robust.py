@@ -155,7 +155,6 @@ def compute_bounds(family: ModeFamily, margin: float = 0.0) -> BoundResult:
     still pass there). The margin must be finite and non-negative; any
     other raises ValueError.
     """
-    check_margin(margin)
     alpha = alphas(family)
     return _two_step(family, alpha, betas(family, alpha), margin)
 

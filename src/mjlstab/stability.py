@@ -13,7 +13,7 @@ run serially.
 Every scope takes one route, matrix free: restarted Arnoldi
 (`linalg.krylov_radius`) ranked by real part on L^p, for each period p of
 the joint chain's cycles, from the stacked identities. Only L is applied, as
-batched matmul: the solver state is KRYLOV_STEPS + 1 stacks of m d x d.
+batched matmul: the solver state is KRYLOV_STEPS + 2 stacks of m d x d.
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for

@@ -43,11 +43,9 @@ def enumerate_links(model: DncsModel, scope: int | None = None) -> list[tuple[in
     Global scope lists every stored off-diagonal block; the reduced scope of
     agent i lists only links internal to its neighborhood.
     """
-    if scope is None:
-        return sorted(key for key in model.blocks if key[0] != key[1])
-    nb = neighborhood(model, scope)
-    inside = set(nb)
-    return [(i, j) for i in nb for j in senders(model, i) if j in inside]
+    agents = _scope_agents(model, scope)
+    inside = set(agents)
+    return [(i, j) for i in agents for j in senders(model, i) if j in inside]
 
 
 def mode_count(model: DncsModel, scope: int | None = None):

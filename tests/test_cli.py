@@ -200,6 +200,27 @@ def test_invalid_family_document(capsys, tmp_path):
     assert "'matrices' and 'P'" in doc["error"]
 
 
+def test_family_document_that_is_not_json(capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text("{not json")
+    code, doc = run(capsys, "analyze", "--family", str(path))
+    assert code == 1
+    assert doc["error"].startswith("family document: invalid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "argv, sources",
+    [(["analyze"], "--model, --pendulum or --family"),
+     (["robust"], "--model, --pendulum or --family"),
+     (["inspect"], "--model or --pendulum"),
+     (["simulate", "--steps", "5"], "--model or --pendulum")],
+)
+def test_source_usage_names_the_subcommand_sources(capsys, argv, sources):
+    code, doc = run(capsys, *argv)
+    assert code == 1
+    assert doc["error"] == f"usage: exactly one of {sources} is required (got none)"
+
+
 # ---------------------------------------------------------------------------
 # robust
 # ---------------------------------------------------------------------------
@@ -513,6 +534,21 @@ def test_out_writes_artifact_and_manifest(capsys, tmp_path):
     assert manifest["arguments"] == ["analyze", "--pendulum", "4", "--dedup", "--out", str(out)]
     assert manifest["result_digest"] == hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["timings"]["total_s"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["robust"], ["inspect"], ["simulate", "--steps", "5"]],
+)
+def test_manifest_keys_and_layout(capsys, tmp_path, argv):
+    out = tmp_path / "artifact"
+    run(capsys, *argv, "--pendulum", "2", "--out", str(out))
+    text = (tmp_path / "artifact.manifest.json").read_text()
+    manifest = json.loads(text)
+    assert list(manifest) == ["command", "arguments", "version", "model_digest",
+                              "result_digest", "timings"]
+    assert manifest["command"] == argv[0]
+    assert text == json.dumps(manifest, indent=2) + "\n"
 
 
 def test_manifest_model_digest_is_stable(capsys, tmp_path):

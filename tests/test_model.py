@@ -81,6 +81,20 @@ def test_delay_chain_rejects_bad_pi0():
         DelayChain(P=[[0.5, 0.5], [0.3, 0.7]], pi0=[0.7, 0.7])
 
 
+@pytest.mark.parametrize(
+    "p, pi0, message",
+    [
+        ([[0.5, 0.5]], [1.0], "chain.P: expected a square matrix, got shape (1, 2)"),
+        (np.eye(2), [1.0, 0.0, 0.0], "chain.pi0: expected length 2, got shape (3,)"),
+        (np.eye(2), [1.5, -0.5], "chain.pi0: entries must lie in [0, 1]"),
+    ],
+)
+def test_delay_chain_names_the_malformed_field(p, pi0, message):
+    with pytest.raises(ModelError) as info:
+        DelayChain(P=p, pi0=pi0)
+    assert str(info.value) == message
+
+
 def test_default_chain_values():
     ch = default_chain()
     assert np.array_equal(ch.P, [[0.5, 0.5], [0.3, 0.7]])
@@ -134,6 +148,29 @@ def test_model_rejects_wrong_block_shape():
             blocks={(1, 1): np.array([[0.5]])},
             chain=DelayChain(P=[[1.0]], pi0=[1.0]),
         )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_agents": 2.0}, "N: expected integer >= 1"),
+        ({"n_agents": 0}, "N: expected integer >= 1"),
+        ({"n": "1"}, "n: expected integer >= 1"),
+        ({"n": 0}, "n: expected integer >= 1"),
+        ({"tau_d": 1.0}, "tau_d: expected integer >= 0"),
+        ({"tau_d": -1}, "tau_d: expected integer >= 0"),
+        ({"blocks": {(1, 1): [[0.5]], (2, 2): [[0.5]], (1, 3): [[0.1]]}},
+         "blocks: agent pair (1, 3) out of range"),
+        ({"blocks": {(1, 1): [[0.5]], (2, 2): [[0.5]], (1, 2): [[0.0]]}},
+         "blocks: off-diagonal block (1, 2) is zero; omit it instead"),
+    ],
+)
+def test_model_names_the_invalid_field(fields, message):
+    base = two_agent_model()
+    args = {"n_agents": 2, "n": 1, "tau_d": 1, "blocks": base.blocks, "chain": base.chain}
+    with pytest.raises(ModelError) as info:
+        DncsModel(**{**args, **fields})
+    assert str(info.value) == message
 
 
 def test_model_equality_is_exact():
@@ -854,6 +891,61 @@ def test_load_model_rejects_invalid_json_and_non_object():
         load_model("{not json")
     with pytest.raises(ModelError, match="expected an object"):
         load_model("[1, 2]")
+
+
+_DROP = object()
+
+
+def edited_doc(path, value):
+    """MINIMAL_DOC as JSON with the field at `path` (keys and indices) set
+    to `value`, or removed when `value` is _DROP."""
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("N",), _DROP, "missing field 'N'"),
+        (("blocks", 0, "values"), _DROP, "blocks[0]: missing field 'values'"),
+        (("chain", "pi0"), _DROP, "chain: missing field 'pi0'"),
+        (("N",), 2.0, "N: expected an integer"),
+        (("blocks", 1, "j"), True, "blocks[1].j: expected an integer"),
+        (("n",), 0, "n: must be >= 1"),
+        (("tau_d",), -1, "tau_d: must be >= 0"),
+        (("blocks", 0, "values"), 0.5, "blocks[0].values: expected an array"),
+        (("blocks", 0, "values"), ["0.5"], "blocks[0].values[0]: expected a number"),
+        (("blocks", 0, "values"), [float("inf")], "blocks[0].values[0]: non-finite value"),
+        (("chain", "pi0"), [1.0, float("nan")], "chain.pi0[1]: non-finite value"),
+        (("blocks",), {"i": 1}, "blocks: expected an array"),
+        (("blocks", 1), [2, 2, 0.5], "blocks[1]: expected an object"),
+        (("chain",), [[1.0]], "chain: expected an object"),
+        (("chain", "P"), [[0.5, 0.5]], "chain.P: expected 2 rows"),
+        (("chain", "P", 0), [1.5, -0.5], "chain.P[0]: probability out of [0, 1]"),
+        (("chain", "pi0"), [1.5, -0.5], "chain.pi0: probability out of [0, 1]"),
+        (("chain", "pi0"), [0.5, 0.25], "chain.pi0: sums to 0.75, not 1"),
+    ],
+)
+def test_load_model_names_the_invalid_field(path, value, message):
+    with pytest.raises(ModelError) as info:
+        load_model(edited_doc(path, value))
+    assert str(info.value) == message
+
+
+def test_load_model_reports_a_bad_chain_before_a_missing_diagonal():
+    # the chain is read with the document; the diagonal is the model's check
+    doc = json.loads(edited_doc(("chain", "pi0"), [0.5, 0.25]))
+    doc["blocks"] = [b for b in doc["blocks"] if (b["i"], b["j"]) != (2, 2)]
+    with pytest.raises(ModelError, match="^chain.pi0: sums to"):
+        load_model(json.dumps(doc))
 
 
 def test_dump_load_round_trip_is_exact():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mjlstab.model import DelayChain, DncsModel, PendulumParams, build_pendulum_
 from mjlstab.stability import (
     MARGINAL_BAND,
     ScopeResult,
+    _CANONICAL_LIMIT,
     _local_structure,
     _overall,
     block_norm_sufficient,
@@ -329,6 +331,41 @@ def test_dedup_searches_relabelings_only_for_shared_summaries(monkeypatch):
     # structures, so only their keys are searched
     assert dedup_agents(build_pendulum_model(100)) == [[1, 100], list(range(2, 100))]
     assert len(calls) == 2
+
+
+def two_stars(leaves, leaf_diag=0.3):
+    """Two scalar stars of `leaves` leaves each: hub 1 with leaves 2..leaves+1,
+    and leaves leaves+2..2*leaves+1 with the last agent as hub, so the hubs
+    sit first and last in their sorted neighborhoods. `leaf_diag` is the
+    diagonal block of the second star's first leaf."""
+    size = leaves + 1
+    blocks = {(i, i): np.array([[0.3]]) for i in range(1, 2 * size + 1)}
+    for hub, first in ((1, 2), (2 * size, size + 1)):
+        blocks[(hub, hub)] = np.array([[0.5]])
+        for leaf in range(first, first + leaves):
+            blocks[(hub, leaf)] = np.array([[0.02]])
+            blocks[(leaf, hub)] = np.array([[0.1]])
+    blocks[(size + 1, size + 1)] = np.array([[leaf_diag]])
+    chain = DelayChain(P=[[1.0]], pi0=[1.0])
+    return DncsModel(n_agents=2 * size, n=1, tau_d=0, blocks=blocks, chain=chain)
+
+
+def test_dedup_above_the_canonical_limit_takes_the_sorted_labeling(monkeypatch):
+    # each hub has _CANONICAL_LIMIT + 1 leaves, so its relabelings are not
+    # searched: the sorted order of the leaves is the only labeling tried
+    real = itertools.permutations
+
+    def permutations(items, *args):
+        items = list(items)
+        assert len(items) <= _CANONICAL_LIMIT, f"permutations of {len(items)} agents"
+        return real(items, *args)
+
+    monkeypatch.setattr(itertools, "permutations", permutations)
+    leaves = _CANONICAL_LIMIT + 1
+    last = 2 * leaves + 2
+    assert dedup_agents(two_stars(leaves)) == [[1, last], list(range(2, last))]
+    classes = dedup_agents(two_stars(leaves, leaf_diag=0.35))
+    assert [1] in classes and [last] in classes
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,20 @@ def test_mode_family_validation():
         dataclasses.replace(fam, joint_P=[[0.5, 0.6], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3)])
+def test_mode_family_requires_a_stack_of_square_matrices(shape):
+    with pytest.raises(ValueError) as info:
+        ModeFamily(scope=None, state_dim=2, matrices=np.zeros(shape),
+                   joint_P=np.full((2, 2), 0.5), joint_pi0=np.full(2, 0.5))
+    assert str(info.value) == f"matrices: expected (m, d, d), got {shape}"
+
+
+def test_from_matrices_rejects_a_single_matrix():
+    with pytest.raises(ValueError) as info:
+        ModeFamily.from_matrices([[0.5, 0.1], [0.0, 0.3]], [[1.0]])
+    assert str(info.value) == "matrices must be a list of square matrices"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["matrices", "joint_P", "joint_pi0"])
 def test_from_matrices_rejects_non_finite(name, bad):
