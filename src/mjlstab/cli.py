@@ -51,7 +51,7 @@ from .switched import (
     build_mode_family,
     enumerate_links,
     mode_count,
-    mode_count_formula,
+    mode_count_formula_total,
 )
 
 _EXIT_BY_VERDICT = {"stable": 0, "unstable": 2, "marginal": 3}
@@ -197,9 +197,14 @@ def _emit(doc: dict, args, source, started: float, payload=None) -> None:
 
 
 def _count_json(count):
-    if isinstance(count, tuple):
-        return {"base": count[0], "exponent": count[1]}
-    return count
+    """An int, the (q, L) of q^L, or the (q, [(exponent, agents), ...]) of a
+    sum of such powers, as JSON."""
+    if not isinstance(count, tuple):
+        return count
+    q, power = count
+    if isinstance(power, list):
+        return {"base": q, "terms": power}
+    return {"base": q, "exponent": power}
 
 
 def cmd_analyze(args) -> int:
@@ -297,9 +302,7 @@ def cmd_inspect(args) -> int:
         "tau_d": model.tau_d,
         "links": len(enumerate_links(model)),
         "full_modes": _count_json(mode_count(model)),
-        "reduced_formula_total": sum(
-            mode_count_formula(model, i) for i in range(1, model.n_agents + 1)
-        ),
+        "reduced_formula_total": _count_json(mode_count_formula_total(model)),
         "agents": agents,
         "classes": classes,
     }

@@ -55,6 +55,27 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def check_stochastic(arr: np.ndarray, name: str, sum_tol: float = _STOCH_TOL) -> None:
+    """Raise ModelError, naming `name` and a matrix's first bad row, unless
+    each row of `arr` (a vector is one row) has finite entries within 1e-12
+    of [0, 1] that sum to 1 within `sum_tol`. NaN fails every comparison."""
+    rows = np.atleast_2d(arr)
+    sums = rows.sum(axis=1)
+    # min and max pass NaN on; the initial 0 lies in range and lets an empty
+    # row reduce
+    in_range = ((rows.min(axis=1, initial=0.0) >= -_STOCH_TOL)
+                & (rows.max(axis=1, initial=0.0) <= 1 + _STOCH_TOL))
+    ok = in_range & (np.abs(sums - 1.0) <= sum_tol)
+    if not ok.all():
+        r = int(np.argmin(ok))
+        where = f"{name}[{r}]" if arr.ndim == 2 else name
+        if not np.isfinite(rows[r]).all():
+            raise ModelError(f"{where}: non-finite value")
+        if not in_range[r]:
+            raise ModelError(f"{where}: probability out of [0, 1]")
+        raise ModelError(f"{where}: sums to {float(sums[r])!r}, not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class DelayChain:
     """Per-link delay Markov chain: q delay states 0..tau_d.
@@ -74,17 +95,8 @@ class DelayChain:
         q = p.shape[0]
         if pi0.shape != (q,):
             raise ModelError(f"chain.pi0: expected length {q}, got shape {pi0.shape}")
-        if np.any(p < -_STOCH_TOL) or np.any(p > 1 + _STOCH_TOL):
-            raise ModelError("chain.P: entries must lie in [0, 1]")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > _STOCH_TOL):
-            bad = int(np.argmax(np.abs(p.sum(axis=1) - 1.0)))
-            raise ModelError(
-                f"chain.P[{bad}]: row not stochastic (sums to {p[bad].sum()!r})"
-            )
-        if np.any(pi0 < -_STOCH_TOL) or np.any(pi0 > 1 + _STOCH_TOL):
-            raise ModelError("chain.pi0: entries must lie in [0, 1]")
-        if abs(pi0.sum() - 1.0) > _STOCH_TOL:
-            raise ModelError(f"chain.pi0: sums to {pi0.sum()!r}, not 1")
+        check_stochastic(p, "chain.P")
+        check_stochastic(pi0, "chain.pi0")
         object.__setattr__(self, "P", p)
         object.__setattr__(self, "pi0", pi0)
 
@@ -142,12 +154,9 @@ class DncsModel:
     chain: DelayChain
 
     def __post_init__(self):
-        if not isinstance(self.n_agents, int) or self.n_agents < 1:
-            raise ModelError("N: expected integer >= 1")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ModelError("n: expected integer >= 1")
-        if not isinstance(self.tau_d, int) or self.tau_d < 0:
-            raise ModelError("tau_d: expected integer >= 0")
+        _as_int(self.n_agents, "N", 1)
+        _as_int(self.n, "n", 1)
+        _as_int(self.tau_d, "tau_d", 0)
         if self.chain.q != self.tau_d + 1:
             raise ModelError(
                 f"chain: has {self.chain.q} delay states, expected tau_d+1 = "
@@ -172,6 +181,10 @@ class DncsModel:
         for i in range(1, self.n_agents + 1):
             if (i, i) not in frozen:
                 raise ModelError(f"blocks: missing diagonal block for agent {i}")
+        # one stacked check: a check per block costs several times as much
+        if not np.isfinite(np.stack(list(frozen.values()))).all():
+            bad = next(k for k, a in frozen.items() if not np.isfinite(a).all())
+            raise ModelError(f"blocks: block {bad} has non-finite entries")
         self.blocks = frozen
         # adjacency index: agent -> sorted senders (j of each stored (i, j),
         # i != j) and sorted neighbors (either direction, the agent included)
@@ -470,15 +483,17 @@ def _req(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _as_int(value, path: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelError(f"{path}: expected an integer")
-    if value < minimum:
-        raise ModelError(f"{path}: must be >= {minimum}")
+def _as_int(value, path: str, minimum: int | None = None) -> int:
+    """`value` if it is an int (a bool is not) of at least `minimum`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or minimum is not None and value < minimum):
+        want = "an integer" if minimum is None else f"integer >= {minimum}"
+        raise ModelError(f"{path}: expected {want}")
     return value
 
 
 def _as_number_list(value, count: int, path: str) -> list[float]:
+    # JSON has no NaN or Infinity, though Python's parser reads them
     if not isinstance(value, list):
         raise ModelError(f"{path}: expected an array")
     if len(value) != count:
@@ -494,13 +509,14 @@ def _as_number_list(value, count: int, path: str) -> list[float]:
 
 
 def load_model(text: str) -> DncsModel:
-    """Parse and validate a JSON model document.
+    """Parse a JSON model document.
 
     Schema: {"N": int, "n": int, "tau_d": int,
              "blocks": [{"i": int, "j": int, "values": [n*n numbers]}],
              "chain": {"P": [[q*q numbers]], "pi0": [q numbers]}}
-    with one-based agent indices and row-major block values. Errors carry the
-    path of the offending field.
+    with one-based agent indices and row-major block values. Only what a
+    document alone can get wrong is checked here, with the path of the
+    field; `DelayChain` and `DncsModel` check the values they hold.
     """
     try:
         doc = json.loads(text)
@@ -509,7 +525,7 @@ def load_model(text: str) -> DncsModel:
     if not isinstance(doc, dict):
         raise ModelError("top level: expected an object")
 
-    n_agents = _as_int(_req(doc, "N", ""), "N", 1)
+    n_agents = _req(doc, "N", "")
     n = _as_int(_req(doc, "n", ""), "n", 1)
     tau_d = _as_int(_req(doc, "tau_d", ""), "tau_d", 0)
     q = tau_d + 1
@@ -522,17 +538,12 @@ def load_model(text: str) -> DncsModel:
         path = f"blocks[{idx}]"
         if not isinstance(entry, dict):
             raise ModelError(f"{path}: expected an object")
-        i = _as_int(_req(entry, "i", path), f"{path}.i", 1)
-        j = _as_int(_req(entry, "j", path), f"{path}.j", 1)
-        if i > n_agents or j > n_agents:
-            raise ModelError(f"{path}: agent pair ({i}, {j}) out of range (1..{n_agents})")
+        i = _as_int(_req(entry, "i", path), f"{path}.i")
+        j = _as_int(_req(entry, "j", path), f"{path}.j")
         if (i, j) in blocks:
             raise ModelError(f"{path}: duplicate block ({i}, {j})")
         values = _as_number_list(_req(entry, "values", path), n * n, f"{path}.values")
-        mat = np.array(values).reshape(n, n)
-        if i != j and not mat.any():
-            raise ModelError(f"{path}: off-diagonal block ({i}, {j}) is zero; omit it instead")
-        blocks[(i, j)] = mat
+        blocks[(i, j)] = np.array(values).reshape(n, n)
 
     raw_chain = _req(doc, "chain", "")
     if not isinstance(raw_chain, dict):
@@ -541,17 +552,7 @@ def load_model(text: str) -> DncsModel:
     if not isinstance(raw_p, list) or len(raw_p) != q:
         raise ModelError(f"chain.P: expected {q} rows")
     p_rows = [_as_number_list(row, q, f"chain.P[{r}]") for r, row in enumerate(raw_p)]
-    for r, row in enumerate(p_rows):
-        if any(not 0.0 <= v <= 1.0 for v in row):
-            raise ModelError(f"chain.P[{r}]: probability out of [0, 1]")
-        if abs(sum(row) - 1.0) > _STOCH_TOL:
-            raise ModelError(f"chain.P[{r}]: row not stochastic (sums to {sum(row)!r})")
     pi0 = _as_number_list(_req(raw_chain, "pi0", "chain"), q, "chain.pi0")
-    if any(not 0.0 <= v <= 1.0 for v in pi0):
-        raise ModelError("chain.pi0: probability out of [0, 1]")
-    if abs(sum(pi0) - 1.0) > _STOCH_TOL:
-        raise ModelError(f"chain.pi0: sums to {sum(pi0)!r}, not 1")
-
     chain = DelayChain(P=p_rows, pi0=pi0)
     return DncsModel(n_agents=n_agents, n=n, tau_d=tau_d, blocks=blocks, chain=chain)
 

@@ -26,12 +26,13 @@ mode in one batched pass.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import check_bytes, kron_power
-from .model import DncsModel, neighborhood, senders
+from .model import DncsModel, check_stochastic, neighborhood, senders
 
 # Integer size above which mode counts are reported as (base, exponent).
 _EXACT_COUNT_LIMIT = 1 << 62
@@ -72,6 +73,20 @@ def mode_count_formula(model: DncsModel, i: int) -> int:
     return model.q ** (n_hat * (n_hat - 1))
 
 
+def mode_count_formula_total(model: DncsModel):
+    """Sum of `mode_count_formula` over every agent: an exact int, or above
+    2^62 the pair (q, [(exponent, agents), ...]) of each distinct
+    n_hat*(n_hat-1), ascending, with the number of agents that have it."""
+    sizes = Counter(len(neighborhood(model, i)) for i in range(1, model.n_agents + 1))
+    terms = sorted((s * (s - 1), agents) for s, agents in sizes.items())
+    q = model.q
+    if q == 1 or terms[-1][0] <= 62:  # q >= 2 makes q^e > 2^62 above e = 62
+        total = sum(agents * q ** e for e, agents in terms)
+        if total <= _EXACT_COUNT_LIMIT:
+            return total
+    return (q, terms)
+
+
 def _scope_agents(model: DncsModel, scope: int | None) -> list[int]:
     if scope is None:
         return list(range(1, model.n_agents + 1))
@@ -107,18 +122,6 @@ def _assemble(
     return w
 
 
-def _check_chain(p, m: int, label: str) -> np.ndarray:
-    """`p` as a finite row-stochastic m x m float array; errors name it `label`."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (m, m):
-        raise ValueError(f"{label}: expected ({m}, {m}), got {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError(f"{label}: non-finite entries")
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError(f"{label} is not row-stochastic")
-    return p
-
-
 @dataclass(eq=False)
 class ModeFamily:
     """All mode matrices of one scope plus the matching joint delay chain.
@@ -132,31 +135,31 @@ class ModeFamily:
     """
 
     scope: object
-    state_dim: int
     matrices: np.ndarray = field(repr=False)
     joint_P: np.ndarray = field(repr=False)
     joint_pi0: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=float)
-        pi0 = np.asarray(self.joint_pi0, dtype=float)
+        mats = self.matrices = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"matrices: expected (m, d, d), got {mats.shape}")
-        m, d, _ = mats.shape
-        if d != self.state_dim:
-            raise ValueError(f"state_dim {self.state_dim} != matrix dim {d}")
         if not np.isfinite(mats).all():
             raise ValueError("matrices: non-finite entries")
-        self.joint_P = _check_chain(self.joint_P, m, "joint_P")
-        # written so that a NaN sum fails too
-        if pi0.shape != (m,) or not abs(pi0.sum() - 1.0) <= 1e-9 or np.any(pi0 < -1e-12):
-            raise ValueError("joint_pi0 is not a distribution")
-        self.matrices = mats
-        self.joint_pi0 = pi0
+        m = len(mats)
+        for name, shape in (("joint_P", (m, m)), ("joint_pi0", (m,))):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name}: expected {shape}, got {arr.shape}")
+            check_stochastic(arr, name, sum_tol=1e-9)
+            setattr(self, name, arr)
 
     @property
     def mode_count(self) -> int:
         return self.matrices.shape[0]
+
+    @property
+    def state_dim(self) -> int:
+        return self.matrices.shape[1]
 
     @property
     def label(self) -> str:
@@ -174,16 +177,8 @@ class ModeFamily:
         mats = np.asarray(matrices, dtype=float)
         if mats.ndim != 3:
             raise ValueError("matrices must be a list of square matrices")
-        m = mats.shape[0]
-        if pi0 is None:
-            pi0 = np.full(m, 1.0 / m)
-        return cls(
-            scope="family",
-            state_dim=mats.shape[1],
-            matrices=mats,
-            joint_P=np.asarray(transition, dtype=float),
-            joint_pi0=np.asarray(pi0, dtype=float),
-        )
+        pi0 = np.full(len(mats), 1.0 / len(mats)) if pi0 is None else pi0
+        return cls(scope="family", matrices=mats, joint_P=transition, joint_pi0=pi0)
 
 
 def _size_hint(scope) -> str:
@@ -214,7 +209,6 @@ def build_mode_family(model: DncsModel, scope: int | None = None) -> ModeFamily:
     digits = np.arange(count)[:, None] // q ** np.arange(len(links))[::-1] % q
     return ModeFamily(
         scope=scope,
-        state_dim=dim,
         matrices=_assemble(model, agents, links, digits),
         joint_P=kron_power(model.chain.P, len(links)),
         joint_pi0=kron_power(model.chain.pi0[None, :], len(links))[0],

@@ -192,6 +192,21 @@ def test_non_finite_family_is_rejected(capsys, tmp_path, command, case):
     assert "NaN" not in out and "Infinity" not in out
 
 
+@pytest.mark.parametrize("command", ["analyze", "robust", "inspect", "simulate"])
+def test_overflowing_pendulum_is_refused_by_every_command(capsys, tmp_path, command):
+    # dt * gain = 1e400 overflows the coupling block to inf: the model
+    # refuses it by name before any command runs, so no NaN reaches stdout
+    argv = [command, "--pendulum", "3", "--param", "dt=1e200", "--param", "gain=1e200"]
+    if command == "simulate":
+        argv += ["--steps", "2", "--out", str(tmp_path / "x.csv")]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "NaN" not in out and "Infinity" not in out
+    doc = json.loads(out, parse_constant=pytest.fail)
+    assert doc == {"error": "blocks: block (1, 2) has non-finite entries"}
+
+
 def test_invalid_family_document(capsys, tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"matrices": [[[0.5]]]}))
@@ -505,6 +520,29 @@ def test_inspect_pendulum_dimensions(capsys):
     assert by_agent[50]["modes"] == 16
     assert sorted(c["size"] for c in doc["classes"]) == [2, 98]
     assert {c["modes"] for c in doc["classes"]} == {4, 16}
+
+
+def scalar_star(spokes):
+    """A hub (agent 1) exchanging a link with each of `spokes` scalar agents."""
+    blocks = {(i, i): np.array([[0.5]]) for i in range(1, spokes + 2)}
+    for i in range(2, spokes + 2):
+        blocks[(1, i)] = blocks[(i, 1)] = np.array([[2e-4]])
+    chain = DelayChain(P=[[0.5, 0.5], [0.5, 0.5]], pi0=[0.5, 0.5])
+    return DncsModel(n_agents=spokes + 1, n=1, tau_d=1, blocks=blocks, chain=chain)
+
+
+def test_inspect_high_degree_hub_prints_bounded_totals(capsys, tmp_path):
+    # the hub alone has 2^(131 * 130) formula modes: as one int its 5127
+    # digits passed Python's 4300-digit limit on conversion to text
+    path = tmp_path / "star.json"
+    path.write_text(dump_model(scalar_star(130)))
+    code = main(["inspect", "--model", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(out, parse_constant=pytest.fail)
+    assert doc["reduced_formula_total"] == {"base": 2, "terms": [[2, 130], [17030, 1]]}
+    assert doc["full_modes"] == {"base": 2, "exponent": 260}
+    assert doc["agents"][0]["modes"] == {"base": 2, "exponent": 260}
 
 
 def test_inspect_small_model(capsys, tmp_path):

@@ -86,13 +86,43 @@ def test_delay_chain_rejects_bad_pi0():
     [
         ([[0.5, 0.5]], [1.0], "chain.P: expected a square matrix, got shape (1, 2)"),
         (np.eye(2), [1.0, 0.0, 0.0], "chain.pi0: expected length 2, got shape (3,)"),
-        (np.eye(2), [1.5, -0.5], "chain.pi0: entries must lie in [0, 1]"),
+        (np.eye(2), [1.5, -0.5], "chain.pi0: probability out of [0, 1]"),
     ],
 )
 def test_delay_chain_names_the_malformed_field(p, pi0, message):
     with pytest.raises(ModelError) as info:
         DelayChain(P=p, pi0=pi0)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "p, pi0, message",
+    [
+        ([[np.nan, 1.0], [0.5, 0.5]], [1.0, 0.0], "chain.P[0]: non-finite value"),
+        ([[0.5, 0.5], [np.inf, 0.0]], [1.0, 0.0], "chain.P[1]: non-finite value"),
+        ([[0.5, 0.5], [0.5, 0.5]], [np.nan, 1.0], "chain.pi0: non-finite value"),
+    ],
+)
+def test_delay_chain_refuses_non_finite_entries(p, pi0, message):
+    # a NaN row sum or entry fails every comparison, so each check is
+    # written to pass only a finite probability
+    with pytest.raises(ModelError) as info:
+        DelayChain(P=p, pi0=pi0)
+    assert str(info.value) == message
+
+
+def test_delay_chain_names_the_first_bad_row():
+    with pytest.raises(ModelError) as info:
+        DelayChain(P=[[1, 0, 0], [0.2, 0.7, 0.0], [1.5, -0.5, 0]], pi0=[1, 0, 0])
+    assert str(info.value) == "chain.P[1]: sums to 0.8999999999999999, not 1"
+
+
+def test_delay_chain_keeps_its_tolerance():
+    # entries and sums within 1e-12 pass, as rounding leaves them
+    chain = DelayChain(P=[[1 + 5e-13, -5e-13], [0.5, 0.5]], pi0=[1 - 5e-13, 5e-13])
+    assert chain.q == 2
+    with pytest.raises(ModelError, match=r"^chain\.P\[0\]: probability out of"):
+        DelayChain(P=[[1 + 2e-12, -2e-12], [0.5, 0.5]], pi0=[1.0, 0.0])
 
 
 def test_default_chain_values():
@@ -171,6 +201,27 @@ def test_model_names_the_invalid_field(fields, message):
     with pytest.raises(ModelError) as info:
         DncsModel(**{**args, **fields})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field_name", ["n_agents", "n", "tau_d"])
+def test_model_refuses_bools_as_sizes(field_name):
+    # True == 1 and False == 0, so an int check alone would pass them
+    base = two_agent_model()
+    args = {"n_agents": 2, "n": 1, "tau_d": 1, "blocks": base.blocks, "chain": base.chain}
+    label = {"n_agents": "N"}.get(field_name, field_name)
+    with pytest.raises(ModelError, match=f"^{label}: expected integer >= "):
+        DncsModel(**{**args, field_name: True})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", [(1, 1), (2, 1)])
+def test_model_refuses_non_finite_blocks(key, bad):
+    base = two_agent_model()
+    blocks = dict(base.blocks)
+    blocks[key] = np.array([[bad]])
+    with pytest.raises(ModelError) as info:
+        DncsModel(n_agents=2, n=1, tau_d=1, blocks=blocks, chain=base.chain)
+    assert str(info.value) == f"blocks: block {key} has non-finite entries"
 
 
 def test_model_equality_is_exact():
@@ -847,7 +898,7 @@ def test_load_model_minimal_document():
 def test_load_model_reports_non_stochastic_row_with_path():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["chain"]["P"][0] = [0.5, 0.6]
-    with pytest.raises(ModelError, match=r"chain\.P\[0\].*not stochastic"):
+    with pytest.raises(ModelError, match=r"^chain\.P\[0\]: sums to 1\.1, not 1$"):
         load_model(json.dumps(doc))
 
 
@@ -875,7 +926,7 @@ def test_load_model_rejects_zero_off_diagonal():
 def test_load_model_rejects_out_of_range_agent():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["blocks"][2]["i"] = 3
-    with pytest.raises(ModelError, match=r"blocks\[2\].*out of range"):
+    with pytest.raises(ModelError, match=r"^blocks: agent pair \(3, 2\) out of range$"):
         load_model(json.dumps(doc))
 
 
@@ -917,10 +968,10 @@ def edited_doc(path, value):
         (("N",), _DROP, "missing field 'N'"),
         (("blocks", 0, "values"), _DROP, "blocks[0]: missing field 'values'"),
         (("chain", "pi0"), _DROP, "chain: missing field 'pi0'"),
-        (("N",), 2.0, "N: expected an integer"),
+        (("N",), 2.0, "N: expected integer >= 1"),
         (("blocks", 1, "j"), True, "blocks[1].j: expected an integer"),
-        (("n",), 0, "n: must be >= 1"),
-        (("tau_d",), -1, "tau_d: must be >= 0"),
+        (("n",), 0, "n: expected integer >= 1"),
+        (("tau_d",), -1, "tau_d: expected integer >= 0"),
         (("blocks", 0, "values"), 0.5, "blocks[0].values: expected an array"),
         (("blocks", 0, "values"), ["0.5"], "blocks[0].values[0]: expected a number"),
         (("blocks", 0, "values"), [float("inf")], "blocks[0].values[0]: non-finite value"),
@@ -946,6 +997,44 @@ def test_load_model_reports_a_bad_chain_before_a_missing_diagonal():
     doc["blocks"] = [b for b in doc["blocks"] if (b["i"], b["j"]) != (2, 2)]
     with pytest.raises(ModelError, match="^chain.pi0: sums to"):
         load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "p, pi0",
+    [
+        ([[1.5, -0.5], [0.3, 0.7]], [1.0, 0.0]),
+        ([[0.5, 0.5], [0.3, 0.8]], [1.0, 0.0]),
+        ([[0.5, 0.5], [0.3, 0.7]], [1.5, -0.5]),
+        ([[0.5, 0.5], [0.3, 0.7]], [0.5, 0.25]),
+    ],
+)
+def test_bad_chain_reads_the_same_in_code_and_in_a_document(p, pi0):
+    with pytest.raises(ModelError) as built:
+        DelayChain(P=p, pi0=pi0)
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["chain"] = {"P": p, "pi0": pi0}
+    with pytest.raises(ModelError) as loaded:
+        load_model(json.dumps(doc))
+    assert str(loaded.value) == str(built.value)
+
+
+def test_document_chain_entries_take_the_chain_tolerance():
+    # a rounding residue of 1e-13 below 0 passes, as in a chain built in code
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["chain"]["P"][0] = [1 + 1e-13, -1e-13]
+    assert load_model(json.dumps(doc)).chain.P[0, 1] == -1e-13
+
+
+def test_document_block_faults_are_the_model_s():
+    for key, values, message in [((3, 2), [0.1], "blocks: agent pair (3, 2) out of range"),
+                                 ((0, 1), [0.1], "blocks: agent pair (0, 1) out of range"),
+                                 ((1, 2), [0.0], "blocks: off-diagonal block (1, 2) is "
+                                                 "zero; omit it instead")]:
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["blocks"][2] = {"i": key[0], "j": key[1], "values": values}
+        with pytest.raises(ModelError) as info:
+            load_model(json.dumps(doc))
+        assert str(info.value) == message
 
 
 def test_dump_load_round_trip_is_exact():

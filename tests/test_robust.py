@@ -75,9 +75,9 @@ def test_betas_validate_nominal():
     fam = scalar_family()
     with pytest.raises(ValueError, match="joint_P: expected"):
         betas(replace(fam, joint_P=np.eye(3)), [0.25, 1.5625])
-    with pytest.raises(ValueError, match="row-stochastic"):
+    with pytest.raises(ValueError, match=r"joint_P\[0\]: sums to 1\.2, not 1"):
         betas(replace(fam, joint_P=[[0.6, 0.6], [0.5, 0.5]]), [0.25, 1.5625])
-    with pytest.raises(ValueError, match="joint_P: non-finite"):
+    with pytest.raises(ValueError, match=r"joint_P\[0\]: non-finite"):
         betas(replace(fam, joint_P=[[np.nan, np.nan], [0.5, 0.5]]), [0.25, 1.5625])
 
 

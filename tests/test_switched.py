@@ -16,6 +16,7 @@ from mjlstab.switched import (
     enumerate_links,
     mode_count,
     mode_count_formula,
+    mode_count_formula_total,
 )
 
 
@@ -96,6 +97,31 @@ def test_mode_count_formula_pendulum_total():
     assert total == 6280
     assert mode_count_formula(model, 1) == 4
     assert mode_count_formula(model, 50) == 64
+    assert mode_count_formula_total(model) == total
+
+
+def cliques(count, size, tau_d=1):
+    """`count` disjoint cliques of `size` scalar agents: every agent has a
+    neighborhood of `size` agents."""
+    n_agents = count * size
+    blocks = {(i, i): np.array([[0.5]]) for i in range(1, n_agents + 1)}
+    for c in range(count):
+        members = range(c * size + 1, (c + 1) * size + 1)
+        blocks.update({(i, j): np.array([[0.01]]) for i in members for j in members if i != j})
+    chain = DelayChain(P=np.full((tau_d + 1, tau_d + 1), 1 / (tau_d + 1)),
+                       pi0=np.eye(tau_d + 1)[0])
+    return DncsModel(n_agents=n_agents, n=1, tau_d=tau_d, blocks=blocks, chain=chain)
+
+
+def test_mode_count_formula_total_is_exact_up_to_two_to_the_62():
+    # eight 8-cliques: 64 agents of 2^56 modes each, 2^62 in all
+    assert mode_count_formula_total(cliques(8, 8)) == 1 << 62
+    # a ninth passes 2^62: each distinct exponent with its agent count
+    assert mode_count_formula_total(cliques(9, 8)) == (2, [(56, 72)])
+    # one mode per agent when the chain has one state, however dense
+    assert mode_count_formula_total(cliques(1, 12, tau_d=0)) == 12
+    # one 10-clique: each agent alone has 2^90 modes
+    assert mode_count_formula_total(cliques(1, 10)) == (2, [(90, 10)])
 
 
 def test_link_aware_counts_undershoot_formula():
@@ -162,26 +188,26 @@ def test_mode_matrix_diagonal_blocks_never_delayed():
 def test_mode_family_validation():
     mats = np.zeros((2, 3, 3))
     good_p = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(ValueError, match="row-stochastic"):
-        ModeFamily(scope=None, state_dim=3, matrices=mats,
+    with pytest.raises(ValueError, match=r"^joint_P\[0\]: sums to 1\.1, not 1$"):
+        ModeFamily(scope=None, matrices=mats,
                    joint_P=np.array([[0.5, 0.6], [0.5, 0.5]]),
                    joint_pi0=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="distribution"):
-        ModeFamily(scope=None, state_dim=3, matrices=mats, joint_P=good_p,
+    with pytest.raises(ValueError, match="^joint_pi0: sums to 1.1, not 1$"):
+        ModeFamily(scope=None, matrices=mats, joint_P=good_p,
                    joint_pi0=np.array([0.5, 0.6]))
-    with pytest.raises(ValueError, match="state_dim"):
-        ModeFamily(scope=None, state_dim=2, matrices=mats, joint_P=good_p,
-                   joint_pi0=np.array([0.5, 0.5]))
+    # the state dimension is read off the matrices
+    assert ModeFamily(scope=None, matrices=mats, joint_P=good_p,
+                      joint_pi0=np.array([0.5, 0.5])).state_dim == 3
     # another chain for the same modes goes through the same checks
     fam = ModeFamily.from_matrices(mats, good_p)
-    with pytest.raises(ValueError, match="joint_P is not row-stochastic"):
-        dataclasses.replace(fam, joint_P=[[0.5, 0.6], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"^joint_P\[1\]: sums to 1\.1, not 1$"):
+        dataclasses.replace(fam, joint_P=[[0.5, 0.5], [0.5, 0.6]])
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3)])
 def test_mode_family_requires_a_stack_of_square_matrices(shape):
     with pytest.raises(ValueError) as info:
-        ModeFamily(scope=None, state_dim=2, matrices=np.zeros(shape),
+        ModeFamily(scope=None, matrices=np.zeros(shape),
                    joint_P=np.full((2, 2), 0.5), joint_pi0=np.full(2, 0.5))
     assert str(info.value) == f"matrices: expected (m, d, d), got {shape}"
 
@@ -198,7 +224,7 @@ def test_from_matrices_rejects_non_finite(name, bad):
     args = {"matrices": np.full((2, 1, 1), 0.5), "joint_P": np.full((2, 2), 0.5),
             "joint_pi0": np.full(2, 0.5)}
     args[name].flat[0] = bad
-    with pytest.raises(ValueError, match=f"^{name}[: ]"):
+    with pytest.raises(ValueError, match=rf"^{name}(\[0\])?: non-finite"):
         ModeFamily.from_matrices(args["matrices"], args["joint_P"], pi0=args["joint_pi0"])
 
 
