@@ -24,35 +24,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .linalg import SizeLimitError
-from .model import (
-    ModelError,
-    PendulumParams,
-    build_pendulum_model,
-    load_model,
-    nominal_stability,
-)
+from .model import ModelError, PendulumParams, build_pendulum_model, load_model, nominal_stability
 from .robust import check_margin, compute_bounds
-from .sim import (
-    SimConfig,
-    estimate_ms,
-    mean_square_csv,
-    simulate_trajectory,
-    trajectory_csv,
-)
-from .stability import (
-    dedup_agents,
-    mss_test_family,
-    mss_test_full,
-    mss_test_reduced,
-)
-from .switched import (
-    ModeFamily,
-    build_mode_family,
-    enumerate_links,
-    mode_count,
-    mode_count_formula_total,
-)
+from .sim import SimConfig, estimate_ms, mean_square_csv, simulate_trajectory, trajectory_csv
+from .stability import dedup_agents, mss_test_family, mss_test_full, mss_test_reduced
+from .switched import ModeFamily, _scope_size, build_mode_family, mode_count_formula_total
 
 _EXIT_BY_VERDICT = {"stable": 0, "unstable": 2, "marginal": 3}
 
@@ -253,24 +229,17 @@ def cmd_simulate(args) -> int:
     config = SimConfig(steps=args.steps, trials=args.trials, seed=args.seed)
     if config.trials == 1:
         record = simulate_trajectory(model, config, trial=0)
-        payload = functools.partial(trajectory_csv, record)
-        doc = {
-            "command": "simulate",
-            "out": args.out,
-            "rows": int(record.states.shape[0]),
-            "initial_sqnorm": float(record.sqnorm[0]),
-            "final_sqnorm": float(record.sqnorm[-1]),
-        }
+        norms, key, payload = record.sqnorm, "sqnorm", functools.partial(trajectory_csv, record)
     else:
-        ms = estimate_ms(model, config)
-        payload = functools.partial(mean_square_csv, ms)
-        doc = {
-            "command": "simulate",
-            "out": args.out,
-            "rows": int(ms.shape[0]),
-            "initial_mean_sq": float(ms[0]),
-            "final_mean_sq": float(ms[-1]),
-        }
+        norms = estimate_ms(model, config)
+        key, payload = "mean_sq", functools.partial(mean_square_csv, norms)
+    # finite blocks can still take the states past float64, and JSON has no inf or nan
+    overflow = ~np.isfinite(norms)
+    doc = {"command": "simulate", "out": args.out, "rows": len(norms),
+           f"initial_{key}": float(norms[0]),
+           f"final_{key}": None if overflow[-1] else float(norms[-1])}
+    if overflow.any():
+        doc["overflow_step"] = int(np.argmax(overflow))
     _emit(doc, args, model, started, payload=payload)
     return 0
 
@@ -278,14 +247,10 @@ def cmd_simulate(args) -> int:
 def cmd_inspect(args) -> int:
     started = time.monotonic()
     model, _ = _model_source(args)
-    agents = [
-        {
-            "agent": i,
-            "links": len(enumerate_links(model, i)),
-            "modes": _count_json(mode_count(model, i)),
-        }
-        for i in range(1, model.n_agents + 1)
-    ]
+    agents = []
+    for i in range(1, model.n_agents + 1):
+        size = _scope_size(model, i)
+        agents.append({"agent": i, "links": len(size.links), "modes": _count_json(size.count)})
     classes = [
         {
             "representative": cls[0],
@@ -295,13 +260,14 @@ def cmd_inspect(args) -> int:
         }
         for cls in dedup_agents(model)
     ]
+    full = _scope_size(model)
     doc = {
         "command": "inspect",
         "N": model.n_agents,
         "n": model.n,
         "tau_d": model.tau_d,
-        "links": len(enumerate_links(model)),
-        "full_modes": _count_json(mode_count(model)),
+        "links": len(full.links),
+        "full_modes": _count_json(full.count),
         "reduced_formula_total": _count_json(mode_count_formula_total(model)),
         "agents": agents,
         "classes": classes,
@@ -362,7 +328,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(json.dumps({"error": f"usage: {exc}"}))
         return 1
-    except (ModelError, SizeLimitError, ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
 

@@ -233,12 +233,7 @@ def senders(model: DncsModel, i: int) -> tuple[int, ...]:
 
 def build_global_matrix(model: DncsModel) -> np.ndarray:
     """Assemble the dense block matrix of the delay-free network."""
-    n = model.n
-    size = model.n_agents * n
-    a = np.zeros((size, size))
-    for (i, j), blk in model.blocks.items():
-        a[(i - 1) * n : i * n, (j - 1) * n : j * n] = blk
-    return a
+    return _block_matrix(model, list(range(1, model.n_agents + 1)))[1]()
 
 
 def _block_matrix(model: DncsModel, agents: list[int]):

@@ -13,7 +13,8 @@ run serially.
 Every scope takes one route, matrix free: restarted Arnoldi
 (`linalg.krylov_radius`) ranked by real part on L^p, for each period p of
 the joint chain's cycles, from the stacked identities. Only L is applied, as
-batched matmul: the solver state is KRYLOV_STEPS + 2 stacks of m d x d.
+batched matmul: the solver state is KRYLOV_STEPS + 2 stacks of m d x d,
+which the full and reduced tests check before they build a scope.
 
 The covariance recursion implemented here is the exact second-moment
 propagation of the switched system and serves as an independent oracle for
@@ -30,7 +31,8 @@ import numpy as np
 
 from .linalg import KRYLOV_STEPS, check_bytes, inf_norm, krylov_radius
 from .model import DncsModel, neighborhood
-from .switched import ModeFamily, _size_hint, build_mode_family, enumerate_links
+from .switched import (ModeFamily, _check_family_bytes, _scope_label, _scope_size, _size_hint,
+                       build_mode_family, enumerate_links)
 
 # Spectral radii within this distance of 1 are reported as "marginal" rather
 # than being forced into a stable/unstable boolean.
@@ -123,14 +125,25 @@ def _overall(scopes) -> str:
 
 def _scope_result(family: ModeFamily) -> ScopeResult:
     rho = scope_radius(family)
-    return ScopeResult(
-        scope=family.label,
-        rho=rho,
-        stable=rho < 1.0,
-        m=family.mode_count,
-        dim=family.mode_count * family.state_dim**2,
-        verdict=verdict(rho),
-    )
+    outcome = verdict(rho)
+    return ScopeResult(scope=family.label, rho=rho, stable=outcome == "stable", verdict=outcome,
+                       m=family.mode_count, dim=family.mode_count * family.state_dim**2)
+
+
+def _check_solver_state(scope, m: int, d: int) -> None:
+    """Refuse a scope of m modes of dimension d whose Krylov state (m*d^2
+    float64s times KRYLOV_STEPS + 2) would exceed BYTE_CAP."""
+    check_bytes(8 * m * d * d * (KRYLOV_STEPS + 2), f"scope {_scope_label(scope)}: the "
+                "spectral test's solver state", _size_hint(scope))
+
+
+def _solvable_family(model: DncsModel, scope: int | None) -> ModeFamily:
+    """`build_mode_family` of a model scope, refused before anything is
+    allocated if its family (checked first) or solver state passes BYTE_CAP."""
+    size = _scope_size(model, scope)
+    _check_family_bytes(scope, size)
+    _check_solver_state(scope, size.modes, size.dim)
+    return build_mode_family(model, scope)
 
 
 def scope_radius(family: ModeFamily) -> float:
@@ -147,8 +160,7 @@ def scope_radius(family: ModeFamily) -> float:
     eigenvector that the identities excite, also with L's output zeroed off
     a group; L^p puts a circle of period p together at rho^p (Varga, ch. 2)."""
     m, d = family.mode_count, family.state_dim
-    check_bytes(8 * m * d * d * (KRYLOV_STEPS + 2), f"scope {family.label}: the spectral "
-                "test's solver state", _size_hint(family.scope))
+    _check_solver_state(family.scope, m, d)
     start, rho = np.tile(np.eye(d).ravel(), m), 0.0
     for p, states in chain_periods(family.joint_P).items():
         off, c = np.flatnonzero(~np.repeat(states, d * d)), 1.0
@@ -198,10 +210,9 @@ def mss_test_full(model: DncsModel) -> StabilityReport:
     """Full-network test: enumerate every delay mode of the whole network.
 
     Exact but exponential in the link count; raises SizeLimitError with a
-    pointer to the reduced test when the network's family is too large.
+    pointer to the reduced test, before the build, when it is too large.
     """
-    family = build_mode_family(model, scope=None)
-    return mss_test_family(family)
+    return mss_test_family(_solvable_family(model, None))
 
 
 def dedup_agents(model: DncsModel) -> list[list[int]]:
@@ -304,8 +315,7 @@ def mss_test_reduced(model: DncsModel, dedup: bool = False) -> StabilityReport:
         agent = cls[0]
         key = _local_structure(model, agent)
         if key not in solved:
-            family = build_mode_family(model, scope=agent)
-            solved[key] = _scope_result(family)
+            solved[key] = _scope_result(_solvable_family(model, agent))
         scopes.append(replace(solved[key], scope=f"agent {agent}"))
     return StabilityReport(
         scopes=scopes,

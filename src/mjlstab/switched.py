@@ -18,8 +18,9 @@ significant digit), and the joint transition matrix is the matching Kronecker
 power of the per-link chain, so index order and probability order always
 agree.
 
-The mode count q^L explodes with the link count L. `build_mode_family`
-checks the q^L mode matrices and the q^L x q^L joint chain against
+The mode count q^L explodes with the link count L. One rule sizes a scope
+without building it (`_scope_size`); from it `build_mode_family` checks
+the q^L mode matrices and the q^L x q^L joint chain against
 `linalg.BYTE_CAP` before it allocates anything, and then assembles every
 mode in one batched pass.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,12 +56,7 @@ def mode_count(model: DncsModel, scope: int | None = None):
 
     Returns an exact int, or the pair (q, L) when the count exceeds 2^62.
     """
-    links = enumerate_links(model, scope)
-    q = model.q
-    count = q ** len(links)
-    if count > _EXACT_COUNT_LIMIT:
-        return (q, len(links))
-    return count
+    return _scope_size(model, scope).count
 
 
 def mode_count_formula(model: DncsModel, i: int) -> int:
@@ -91,6 +88,36 @@ def _scope_agents(model: DncsModel, scope: int | None) -> list[int]:
     if scope is None:
         return list(range(1, model.n_agents + 1))
     return neighborhood(model, scope)
+
+
+class _ScopeSize(NamedTuple):
+    """A scope's agents and sorted links, the base q of its mode count, that
+    count q^L exactly, and its state dimension |agents|*n*q."""
+
+    agents: list[int]
+    links: list[tuple[int, int]]
+    q: int
+    modes: int
+    dim: int
+
+    @property
+    def count(self):
+        """`modes`, or the pair (q, L) above 2^62."""
+        return self.modes if self.modes <= _EXACT_COUNT_LIMIT else (self.q, len(self.links))
+
+
+def _scope_size(model: DncsModel, scope: int | None = None) -> _ScopeSize:
+    """Size a scope without building it: the one rule that mode counts,
+    `build_mode_family` and the spectral test's solver-state check read."""
+    agents, links, q = _scope_agents(model, scope), enumerate_links(model, scope), model.q
+    return _ScopeSize(agents, links, q, q ** len(links), len(agents) * model.n * q)
+
+
+def _scope_label(scope) -> str:
+    """How reports name a scope: "global", "agent i", or the scope itself."""
+    if scope is None:
+        return "global"
+    return f"agent {scope}" if isinstance(scope, int) else str(scope)
 
 
 def _assemble(
@@ -163,11 +190,7 @@ class ModeFamily:
 
     @property
     def label(self) -> str:
-        if self.scope is None:
-            return "global"
-        if isinstance(self.scope, int):
-            return f"agent {self.scope}"
-        return str(self.scope)
+        return _scope_label(self.scope)
 
     @classmethod
     def from_matrices(cls, matrices, transition, pi0=None) -> "ModeFamily":
@@ -175,9 +198,9 @@ class ModeFamily:
         structure) as scope "family", e.g. for a hand-specified jump-linear
         system."""
         mats = np.asarray(matrices, dtype=float)
-        if mats.ndim != 3:
-            raise ValueError("matrices must be a list of square matrices")
-        pi0 = np.full(len(mats), 1.0 / len(mats)) if pi0 is None else pi0
+        if pi0 is None:  # uniform over the modes; the constructor checks the shape
+            pi0 = np.ones(mats.shape[:1])
+            pi0 /= pi0.size
         return cls(scope="family", matrices=mats, joint_P=transition, joint_pi0=pi0)
 
 
@@ -188,6 +211,15 @@ def _size_hint(scope) -> str:
     return "; neighborhood too dense" if isinstance(scope, int) else ""
 
 
+def _check_family_bytes(scope, size: _ScopeSize) -> None:
+    """Refuse a scope whose mode matrices or joint chain would pass BYTE_CAP."""
+    where = "global scope" if scope is None else f"agent {scope}"
+    for what, nbytes in (("mode matrices", 8 * size.modes * size.dim ** 2),
+                         ("joint chain", 8 * size.modes ** 2)):
+        check_bytes(nbytes, f"{where}: the {what} of {size.q}^{len(size.links)} delay modes",
+                    _size_hint(scope))
+
+
 def build_mode_family(model: DncsModel, scope: int | None = None) -> ModeFamily:
     """Enumerate every delay mode of a scope into a ModeFamily.
 
@@ -196,16 +228,9 @@ def build_mode_family(model: DncsModel, scope: int | None = None) -> ModeFamily:
     for the global scope of a large network that is the expected outcome,
     and the per-agent reduced scope is the tractable alternative.
     """
-    links = enumerate_links(model, scope)
-    q = model.q
-    count = q ** len(links)
-    agents = _scope_agents(model, scope)
-    dim = len(agents) * model.n * q
-    where = "global scope" if scope is None else f"agent {scope}"
-    for what, nbytes in (("mode matrices", 8 * count * dim * dim),
-                         ("joint chain", 8 * count * count)):
-        check_bytes(nbytes, f"{where}: the {what} of {q}^{len(links)} delay modes",
-                    _size_hint(scope))
+    size = _scope_size(model, scope)
+    _check_family_bytes(scope, size)
+    agents, links, q, count, _ = size
     digits = np.arange(count)[:, None] // q ** np.arange(len(links))[::-1] % q
     return ModeFamily(
         scope=scope,

@@ -12,10 +12,11 @@ import pytest
 
 import mjlstab
 import test_sim
-from mjlstab import cli, linalg, sim
+from mjlstab import cli, linalg, sim, stability, switched
 from mjlstab.cli import main
 from mjlstab.model import (DelayChain, DncsModel, build_global_matrix, build_pendulum_model,
                            dump_model)
+from mjlstab.switched import enumerate_links
 from test_sim import pendulum_tau2, star
 
 SCALAR_FAMILY = {
@@ -98,6 +99,15 @@ def test_analyze_marginal_exit_code(capsys, tmp_path):
     code, doc = run(capsys, "analyze", "--model", model_file(tmp_path, diag=1.0))
     assert code == 3
     assert doc["overall"] == "marginal"
+
+
+def test_scope_in_the_marginal_band_is_not_stable(capsys, tmp_path):
+    family = {"matrices": [[[np.sqrt(1.0 - 5e-10)]]], "P": [[1.0]]}
+    code, doc = run(capsys, "analyze", "--family", family_file(tmp_path, family))
+    assert code == 3
+    [scope] = doc["scopes"]
+    assert scope["rho"] == pytest.approx(1.0 - 5e-10, abs=1e-15)
+    assert scope["verdict"] == "marginal" and scope["stable"] is False
 
 
 def test_analyze_unstable_exit_code(capsys, tmp_path):
@@ -485,6 +495,24 @@ def test_simulate_model_csv_matches_golden_digest(capsys, tmp_path, case):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("trials, key", [(1, "sqnorm"), (3, "mean_sq")])
+def test_simulate_overflow_prints_valid_json(capsys, tmp_path, trials, key):
+    # every block is finite, but dt = 1e100 takes the states past float64 at
+    # step 2: the CSV keeps the inf and nan rows, stdout stays JSON
+    out = tmp_path / "y.csv"
+    code = main(["simulate", "--pendulum", "3", "--param", "dt=1e100", "--steps", "20",
+                 "--trials", str(trials), "--out", str(out)])
+    text = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(text, parse_constant=pytest.fail)
+    assert doc[f"final_{key}"] is None and doc["overflow_step"] == 2
+    assert doc[f"initial_{key}"] > 0.0 and doc["rows"] == 21
+    rows = out.read_text().splitlines()
+    assert len(rows) == 22 and rows[3].split(",")[-1] in ("inf", "nan")
+
+
 def test_simulate_in_fresh_interpreter_prints_one_document(tmp_path):
     # the trial blocks run in forked children: neither may flush the stdout
     # buffer it inherits or run atexit handlers, or the report would repeat
@@ -543,6 +571,24 @@ def test_inspect_high_degree_hub_prints_bounded_totals(capsys, tmp_path):
     assert doc["reduced_formula_total"] == {"base": 2, "terms": [[2, 130], [17030, 1]]}
     assert doc["full_modes"] == {"base": 2, "exponent": 260}
     assert doc["agents"][0]["modes"] == {"base": 2, "exponent": 260}
+
+
+def test_inspect_enumerates_each_scope_once(monkeypatch, capsys):
+    # every agent scope and the whole network once for the counts, and every
+    # agent scope once more to group the agents
+    calls = []
+
+    def counted(model, scope=None):
+        calls.append(scope)
+        return enumerate_links(model, scope)
+
+    for module in (cli, stability, switched, sim):
+        if hasattr(module, "enumerate_links"):
+            monkeypatch.setattr(module, "enumerate_links", counted)
+    code, _ = run(capsys, "inspect", "--pendulum", "16")
+    assert code == 0
+    assert len(calls) == 33
+    assert sorted(calls, key=str) == sorted([None] + 2 * list(range(1, 17)), key=str)
 
 
 def test_inspect_small_model(capsys, tmp_path):

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mjlstab import stability
 from mjlstab.linalg import SizeLimitError, spectral_radius
 from mjlstab.model import DelayChain, DncsModel, PendulumParams, build_pendulum_model
 from mjlstab.stability import (
@@ -225,6 +226,37 @@ def test_reduced_test_certifies_neighborhoods_not_the_network():
 def test_full_raises_cap_on_large_network():
     with pytest.raises(SizeLimitError):
         mss_test_full(build_pendulum_model(100))
+
+
+def hub_star(spokes=6):
+    """2-state agents whose hub exchanges links with every spoke: the hub's
+    scope has 2^(2 * spokes) modes of dimension 4 * (spokes + 1)."""
+    blocks = {(i, i): np.array([[0.5, 0.1], [0.0, 0.4]]) for i in range(1, spokes + 2)}
+    for i in range(2, spokes + 2):
+        blocks[(1, i)] = blocks[(i, 1)] = 0.01 * np.eye(2)
+    chain = DelayChain(P=[[0.5, 0.5], [0.3, 0.7]], pi0=[1.0, 0.0])
+    return DncsModel(n_agents=spokes + 1, n=2, tau_d=1, blocks=blocks, chain=chain)
+
+
+@pytest.mark.parametrize("test, model, message", [
+    # 4096 modes of dimension 28: the family (26 MB of modes, a 134 MB
+    # chain) fits, its Krylov state (1.08 GB) does not
+    (mss_test_full, build_pendulum_model(7),
+     "scope global: the spectral test's solver state would hold 1078984704 bytes "
+     "(cap 800000000); use the reduced per-agent test"),
+    (mss_test_reduced, hub_star(),
+     "scope agent 1: the spectral test's solver state would hold 1078984704 bytes "
+     "(cap 800000000); neighborhood too dense"),
+], ids=["pendulum7-full", "star6-reduced"])
+def test_unsolvable_scope_is_refused_before_its_family_is_built(monkeypatch, test, model,
+                                                                message):
+    built = []
+    monkeypatch.setattr(stability, "build_mode_family",
+                        lambda model, scope=None: built.append(scope))
+    with pytest.raises(SizeLimitError) as info:
+        test(model)
+    assert str(info.value) == message
+    assert built == []
 
 
 def test_reduced_report_shape():

@@ -215,7 +215,15 @@ def test_mode_family_requires_a_stack_of_square_matrices(shape):
 def test_from_matrices_rejects_a_single_matrix():
     with pytest.raises(ValueError) as info:
         ModeFamily.from_matrices([[0.5, 0.1], [0.0, 0.3]], [[1.0]])
-    assert str(info.value) == "matrices must be a list of square matrices"
+    assert str(info.value) == "matrices: expected (m, d, d), got (2, 2)"
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2), (2, 1, 1, 1)])
+def test_from_matrices_shape_is_checked_by_the_family(shape):
+    # one shape check, the constructor's, also for a 0-d input with no length
+    with pytest.raises(ValueError) as info:
+        ModeFamily.from_matrices(np.full(shape, 0.5), [[1.0]])
+    assert str(info.value) == f"matrices: expected (m, d, d), got {shape}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
